@@ -268,19 +268,10 @@ func BenchmarkAblationCI(b *testing.B) {
 				pairs[j] = stats.Pair{A: a[j], B: bb[j]}
 			}
 			est := stats.PairedPAB(a, bb)
-			ci := stats.PairedPercentileBootstrap(pairs, func(p []stats.Pair) float64 {
-				av := make([]float64, len(p))
-				bv := make([]float64, len(p))
-				for k, pr := range p {
-					av[k], bv[k] = pr.A, pr.B
-				}
-				return stats.PairedPAB(av, bv)
-			}, 300, 0.95, r)
+			ci := stats.PairedPercentileBootstrapKernel(pairs, stats.PABKernel{}, 300, 0.95, r.Uint64(), 1)
 			if ci.Contains(trueP) {
 				bootHit++
 			}
-			se := 1 / (2 * float64(n)) // placeholder scale; replaced below
-			_ = se
 			normCI := stats.NormalCI(est, stdErrPAB(est, n), 0.95)
 			if normCI.Contains(trueP) {
 				normHit++
@@ -474,7 +465,7 @@ func BenchmarkPercentileBootstrap(b *testing.B) {
 	crit := compare.PAB{Bootstrap: 1000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := crit.Evaluate(pairs, r); err != nil {
+		if _, err := crit.Evaluate(pairs, r.Uint64(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -671,7 +671,8 @@ func (e *Experiment) specFingerprint() string {
 
 // datasetRoot derives the seed root of one dataset's collection stream.
 // The unnamed single dataset uses the experiment seed directly, which keeps
-// trial seeds bit-identical to the historical CollectPaired sequence.
+// its trial seeds pinned to the historical sequence (see
+// TestTrialStreamMatchesHistoricalSeeds).
 func (e *Experiment) datasetRoot(name string) uint64 {
 	if name == "" {
 		return e.Seed
@@ -682,12 +683,10 @@ func (e *Experiment) datasetRoot(name string) uint64 {
 // A trialStream lazily derives the seed assignment of one trial at a time.
 // Seeds depend only on (Seed, dataset name, trial index), never on worker
 // scheduling, which is what makes results parallelism-invariant — and the
-// stream draws them in exactly the order the historical eager makeTrials
-// did, so the sequence is pinned bit-for-bit (see
-// TestTrialStreamMatchesHistoricalSeeds). Streaming means an experiment
-// whose MaxRuns is huge (γ near 0.5 makes Noether's N explode) allocates
-// trials per batch, not MaxRuns Trial structs plus one seed map each before
-// the first measurement.
+// sequence is pinned bit-for-bit (see TestTrialStreamMatchesHistoricalSeeds).
+// Streaming means an experiment whose MaxRuns is huge (γ near 0.5 makes
+// Noether's N explode) allocates trials per batch, not MaxRuns Trial structs
+// plus one seed map each before the first measurement.
 type trialStream struct {
 	root      *xrand.Source
 	entries   []Source
@@ -768,11 +767,4 @@ func (s *trialStream) take(dst []Trial, n int) []Trial {
 		s.next++
 	}
 	return dst
-}
-
-// makeTrials eagerly materializes the full MaxRuns seed assignment. It is
-// the historical eager path, kept for the deprecated CollectPaired wrapper
-// and as the reference the lazy stream is pinned against.
-func (e *Experiment) makeTrials(dataset string) []Trial {
-	return e.trialStream(dataset).take(make([]Trial, 0, e.MaxRuns), e.MaxRuns)
 }

@@ -137,25 +137,31 @@ func (ia *incAnalysis) feed(scoresA, scoresB []float64, lo, hi int) error {
 		if ia.restoredN > 0 && ia.hasher.n == ia.restoredN && ia.hasher.h != ia.restoredHash {
 			// The replayed scores disagree with what the snapshot consumed:
 			// rebuild from scratch over everything observed so far.
-			fresh, err := ia.crit.NewAnalysis(ia.seed, ia.workers)
-			if err != nil {
+			if err := ia.rebuild(scoresA[:i+1], scoresB[:i+1]); err != nil {
 				return err
 			}
-			if err := fresh.Extend(ia.pairs(scoresA[:i+1], scoresB[:i+1])); err != nil {
-				return err
-			}
-			ia.state = fresh
-			ia.restoredN = 0
 		}
 	}
 	if start := ia.state.N(); start < hi {
 		if start < lo {
 			return fmt.Errorf("varbench: analysis state at %d pairs behind batch start %d", start, lo)
 		}
-		if err := ia.state.Extend(ia.pairs(scoresA[start:hi], scoresB[start:hi])); err != nil {
-			return err
-		}
+		ia.state.Extend(ia.pairs(scoresA[start:hi], scoresB[start:hi]))
 	}
+	return nil
+}
+
+// rebuild discards the current (restored) state and recomputes a fresh one
+// from the given score history — correct by construction, and
+// bit-identical to having extended a fresh state all along.
+func (ia *incAnalysis) rebuild(scoresA, scoresB []float64) error {
+	fresh, err := ia.crit.NewAnalysis(ia.seed, ia.workers)
+	if err != nil {
+		return err
+	}
+	fresh.Extend(ia.pairs(scoresA, scoresB))
+	ia.state = fresh
+	ia.restoredN = 0
 	return nil
 }
 

@@ -206,25 +206,12 @@ func (c PAB) decide(point float64, ci stats.CI) Result {
 	return res
 }
 
-// Evaluate runs the complete Appendix C protocol on paired measures.
-func (c PAB) Evaluate(pairs []stats.Pair, r *xrand.Source) (Result, error) {
-	if len(pairs) < 2 {
-		return Result{}, fmt.Errorf("compare: need ≥ 2 pairs, got %d", len(pairs))
-	}
-	if err := c.validate(); err != nil {
-		return Result{}, err
-	}
-	point := pabKernel.Stat(pairs)
-	ci := stats.PairedPercentileBootstrapWith(pairs, pabKernel, c.boots(), c.level(), r)
-	return c.decide(point, ci), nil
-}
-
-// EvaluateSharded is Evaluate with the bootstrap resampling sharded across
-// `workers` goroutines. It draws its randomness from seed instead of a
-// caller-owned stream: shard boundaries and per-shard RNG streams depend
-// only on (seed, Bootstrap), so the result is bit-identical at any worker
-// count — including workers ≤ 1, the serial reference.
-func (c PAB) EvaluateSharded(pairs []stats.Pair, seed uint64, workers int) (Result, error) {
+// Evaluate runs the complete Appendix C protocol on paired measures, with
+// the bootstrap resampling sharded across `workers` goroutines. Shard
+// boundaries and per-shard RNG streams depend only on (seed, Bootstrap), so
+// the result is bit-identical at any worker count — including workers ≤ 1,
+// the serial reference.
+func (c PAB) Evaluate(pairs []stats.Pair, seed uint64, workers int) (Result, error) {
 	if len(pairs) < 2 {
 		return Result{}, fmt.Errorf("compare: need ≥ 2 pairs, got %d", len(pairs))
 	}
@@ -236,9 +223,9 @@ func (c PAB) EvaluateSharded(pairs []stats.Pair, seed uint64, workers int) (Resu
 	return c.decide(point, ci), nil
 }
 
-// Detects implements Criterion.
+// Detects implements Criterion: one serial Evaluate seeded by a draw from r.
 func (c PAB) Detects(pairs []stats.Pair, r *xrand.Source) bool {
-	res, err := c.Evaluate(pairs, r)
+	res, err := c.Evaluate(pairs, r.Uint64(), 1)
 	if err != nil {
 		return false
 	}
@@ -247,32 +234,12 @@ func (c PAB) Detects(pairs []stats.Pair, r *xrand.Source) bool {
 
 // EvaluateUnpaired runs the P(A>B) protocol on *unpaired* measures: P(A>B)
 // is the Mann-Whitney U statistic scaled to [0,1], and the confidence
-// interval bootstraps the two samples independently. Use when pairing is
-// impossible (e.g. algorithms evaluated by different parties — the Section 6
-// "models instead of procedures" setting); pairing, when available, gives
-// strictly more power (Appendix C.2).
-func (c PAB) EvaluateUnpaired(a, b []float64, r *xrand.Source) (Result, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return Result{}, fmt.Errorf("compare: need ≥ 2 measures per algorithm")
-	}
-	if err := c.validate(); err != nil {
-		return Result{}, err
-	}
-	point := stats.MannWhitney(a, b, stats.TwoTailed).PAB
-	ci := stats.TwoSampleBootstrapWith(a, b, stats.TwoSampleStatFunc(mwPAB), c.boots(), c.level(), r)
-	return c.decide(point, ci), nil
-}
-
-// mwPAB is the Mann-Whitney U statistic scaled to [0,1]: the unpaired
-// plug-in estimate of P(A>B). Rank-based, so it takes the buffered
-// (TwoSampleStatFunc) bootstrap path rather than a fused kernel.
-func mwPAB(x, y []float64) float64 {
-	return stats.MannWhitney(x, y, stats.TwoTailed).PAB
-}
-
-// EvaluateUnpairedSharded is EvaluateUnpaired with the two-sample bootstrap
-// sharded across `workers` goroutines, seeded like EvaluateSharded.
-func (c PAB) EvaluateUnpairedSharded(a, b []float64, seed uint64, workers int) (Result, error) {
+// interval bootstraps the two samples independently, sharded and seeded
+// like Evaluate. Use when pairing is impossible (e.g. algorithms evaluated
+// by different parties — the Section 6 "models instead of procedures"
+// setting); pairing, when available, gives strictly more power (Appendix
+// C.2).
+func (c PAB) EvaluateUnpaired(a, b []float64, seed uint64, workers int) (Result, error) {
 	if len(a) < 2 || len(b) < 2 {
 		return Result{}, fmt.Errorf("compare: need ≥ 2 measures per algorithm")
 	}
@@ -282,6 +249,13 @@ func (c PAB) EvaluateUnpairedSharded(a, b []float64, seed uint64, workers int) (
 	point := stats.MannWhitney(a, b, stats.TwoTailed).PAB
 	ci := stats.TwoSampleBootstrapKernel(a, b, stats.TwoSampleStatFunc(mwPAB), c.boots(), c.level(), seed, workers)
 	return c.decide(point, ci), nil
+}
+
+// mwPAB is the Mann-Whitney U statistic scaled to [0,1]: the unpaired
+// plug-in estimate of P(A>B). Rank-based, so it takes the buffered
+// (TwoSampleStatFunc) bootstrap path rather than a fused kernel.
+func mwPAB(x, y []float64) float64 {
+	return stats.MannWhitney(x, y, stats.TwoTailed).PAB
 }
 
 // Oracle detects with perfect knowledge of the measurement noise: a z-test

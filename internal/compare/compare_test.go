@@ -70,7 +70,7 @@ func TestPABEvaluateZones(t *testing.T) {
 
 	// Strong dominance: significant and meaningful.
 	strong := makePairs(r, 60, 3, 1)
-	res, err := PAB{}.Evaluate(strong, r)
+	res, err := PAB{}.Evaluate(strong, r.Uint64(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPABEvaluateZones(t *testing.T) {
 
 	// No difference: not significant.
 	null := makePairs(r, 60, 0, 1)
-	res, err = PAB{}.Evaluate(null, r)
+	res, err = PAB{}.Evaluate(null, r.Uint64(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPABEvaluateZones(t *testing.T) {
 	// Tiny but consistent difference with many samples: significant, not
 	// meaningful. diff chosen so true PAB ≈ 0.58.
 	small := makePairs(r, 4000, 0.29, 1)
-	res, err = PAB{}.Evaluate(small, r)
+	res, err = PAB{}.Evaluate(small, r.Uint64(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPABDefaults(t *testing.T) {
 	if c.gamma() != DefaultGamma || c.level() != 0.95 || c.boots() != 1000 {
 		t.Error("defaults wrong")
 	}
-	if _, err := c.Evaluate([]stats.Pair{{A: 1, B: 0}}, xrand.New(1)); err == nil {
+	if _, err := c.Evaluate([]stats.Pair{{A: 1, B: 0}}, 1, 1); err == nil {
 		t.Error("single pair should error")
 	}
 }
@@ -120,7 +120,7 @@ func TestPABTieHandling(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: 1, B: 1}
 	}
-	res, err := PAB{}.Evaluate(pairs, xrand.New(3))
+	res, err := PAB{}.Evaluate(pairs, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPABMonotoneInEffect(t *testing.T) {
 	prev := -1.0
 	for _, diff := range []float64{0, 1, 2, 4} {
 		pairs := makePairs(r, 400, diff, 1)
-		res, err := PAB{Bootstrap: 200}.Evaluate(pairs, r)
+		res, err := PAB{Bootstrap: 200}.Evaluate(pairs, r.Uint64(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,46 +218,53 @@ func TestPABValidation(t *testing.T) {
 		{Level: math.NaN()},
 	}
 	for _, crit := range bad {
-		if _, err := crit.Evaluate(pairs, xrand.New(1)); err == nil {
-			t.Errorf("Evaluate with %+v: expected error", crit)
-		}
-		if _, err := crit.EvaluateSharded(pairs, 1, 4); err == nil {
-			t.Errorf("EvaluateSharded with %+v: expected error", crit)
-		}
-		if _, err := crit.EvaluateUnpaired(a, b, xrand.New(1)); err == nil {
-			t.Errorf("EvaluateUnpaired with %+v: expected error", crit)
-		}
-		if _, err := crit.EvaluateUnpairedSharded(a, b, 1, 4); err == nil {
-			t.Errorf("EvaluateUnpairedSharded with %+v: expected error", crit)
+		for _, w := range []int{1, 4} {
+			if _, err := crit.Evaluate(pairs, 1, w); err == nil {
+				t.Errorf("Evaluate with %+v, workers=%d: expected error", crit, w)
+			}
+			if _, err := crit.EvaluateUnpaired(a, b, 1, w); err == nil {
+				t.Errorf("EvaluateUnpaired with %+v, workers=%d: expected error", crit, w)
+			}
 		}
 		if crit.Detects(pairs, xrand.New(1)) {
 			t.Errorf("Detects with %+v: degenerate knobs must not detect", crit)
 		}
 	}
 	// The zero values still mean "use the defaults".
-	if _, err := (PAB{}).Evaluate(pairs, xrand.New(1)); err != nil {
+	if _, err := (PAB{}).Evaluate(pairs, 1, 1); err != nil {
 		t.Errorf("zero-valued PAB should default, got %v", err)
 	}
 }
 
-// TestEvaluateShardedUsesFusedKernel locks the sharded protocol evaluation
-// to the serial reference: the fused P(A>B) kernel must neither perturb the
-// resampling stream nor the decision, at any worker count.
+// TestEvaluateShardedFusedMatchesSerialStream locks the sharded protocol
+// evaluation to the serial reference: the fused P(A>B) kernel must neither
+// perturb the resampling streams nor the decision, at any worker count, and
+// Detects must decide exactly as a serial Evaluate seeded by one draw from
+// the caller's stream.
 func TestEvaluateShardedFusedMatchesSerialStream(t *testing.T) {
 	r := xrand.New(11)
 	pairs := makePairs(r, 29, 1, 1)
 	crit := PAB{Bootstrap: 1000}
-	ref, err := crit.EvaluateSharded(pairs, 7, 1)
+	ref, err := crit.Evaluate(pairs, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
-		got, err := crit.EvaluateSharded(pairs, 7, w)
+		got, err := crit.Evaluate(pairs, 7, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != ref {
 			t.Errorf("workers=%d: %+v != serial %+v", w, got, ref)
+		}
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		res, err := crit.Evaluate(pairs, xrand.New(seed).Uint64(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := crit.Detects(pairs, xrand.New(seed)), res.Decision == SignificantAndMeaningful; got != want {
+			t.Errorf("seed %d: Detects = %v, seeded Evaluate decides %v", seed, got, want)
 		}
 	}
 }

@@ -20,12 +20,12 @@ import (
 // The incremental protocol is paired-only: the unpaired P(A>B) point
 // estimate is the Mann-Whitney U statistic, a rank statistic that is not
 // decomposable into extendable per-element sums — unpaired comparisons stay
-// on the one-shot EvaluateUnpaired* paths.
+// on the one-shot EvaluateUnpaired path.
 //
 // Note the confidence interval comes from the weighted (Bayesian) bootstrap,
 // which is statistically equivalent to — but not numerically identical to —
-// the classic multinomial percentile bootstrap of Evaluate/EvaluateSharded;
-// see internal/stats/incremental.go. The point estimate is the same plug-in
+// the multinomial percentile bootstrap of the one-shot Evaluate; see
+// internal/stats/incremental.go. The point estimate is the same plug-in
 // P(A>B) of Equation 9, bit-identical to PABKernel.Stat.
 type AnalysisState struct {
 	crit    PAB
@@ -48,16 +48,12 @@ func (c PAB) NewAnalysis(seed uint64, workers int) (*AnalysisState, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	acc, err := stats.NewAccum(stats.AccPAB, c.boots(), seed)
+	acc, err := stats.NewAccum(c.boots(), seed)
 	if err != nil {
 		return nil, err
 	}
 	return &AnalysisState{crit: c, workers: workers, acc: acc}, nil
 }
-
-// KernelID identifies the accumulator algebra and version backing this
-// state, for snapshot fingerprinting.
-func (st *AnalysisState) KernelID() string { return st.acc.Kind().ID() }
 
 // N returns how many pairs the state has consumed.
 func (st *AnalysisState) N() int { return st.n }
@@ -71,7 +67,7 @@ func (st *AnalysisState) Seed() uint64 { return st.acc.Seed() }
 // Extend feeds newly arrived paired measures into the analysis. Extending
 // by any chunking is bit-identical to the from-scratch analysis of the full
 // sequence.
-func (st *AnalysisState) Extend(pairs []stats.Pair) error {
+func (st *AnalysisState) Extend(pairs []stats.Pair) {
 	for _, p := range pairs {
 		switch {
 		case p.A > p.B:
@@ -82,11 +78,8 @@ func (st *AnalysisState) Extend(pairs []stats.Pair) error {
 		st.sumA += p.A
 		st.sumB += p.B
 	}
-	if err := st.acc.ExtendPairs(pairs, st.workers); err != nil {
-		return err
-	}
+	st.acc.ExtendPairs(pairs, st.workers)
 	st.n += len(pairs)
-	return nil
 }
 
 // Point returns the plug-in estimate of P(A>B) over the consumed pairs —
@@ -110,7 +103,7 @@ func (st *AnalysisState) Means() (meanA, meanB float64) {
 }
 
 // Evaluate runs the three-zone decision on the pairs consumed so far.
-// Like Evaluate on the one-shot path, it needs at least two pairs.
+// Like the one-shot PAB.Evaluate, it needs at least two pairs.
 func (st *AnalysisState) Evaluate() (Result, error) {
 	if st.n < 2 {
 		return Result{}, fmt.Errorf("compare: need ≥ 2 pairs, got %d", st.n)
@@ -186,10 +179,6 @@ func (c PAB) RestoreAnalysis(data []byte, workers int) (*AnalysisState, error) {
 	acc, err := stats.RestoreAccum(data[off:])
 	if err != nil {
 		return nil, err
-	}
-	if acc.Kind() != stats.AccPAB {
-		return nil, fmt.Errorf("compare: snapshot holds a %s accumulator, want %s",
-			acc.Kind().ID(), stats.AccPAB.ID())
 	}
 	if acc.K() != c.boots() {
 		return nil, fmt.Errorf("compare: snapshot has K=%d resamples, criterion wants %d",

@@ -2,6 +2,7 @@ package compare
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -39,9 +40,7 @@ func TestAnalysisStateBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Extend(pairs); err != nil {
-			t.Fatal(err)
-		}
+		ref.Extend(pairs)
 		refRes, err := ref.Evaluate()
 		if err != nil {
 			t.Fatal(err)
@@ -58,9 +57,7 @@ func TestAnalysisStateBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for lo := 0; lo < n; lo += batch {
-					if err := st.Extend(pairs[lo:min(lo+batch, n)]); err != nil {
-						t.Fatal(err)
-					}
+					st.Extend(pairs[lo:min(lo+batch, n)])
 				}
 				res, err := st.Evaluate()
 				if err != nil {
@@ -93,9 +90,7 @@ func TestAnalysisStatePointMatchesKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Extend(pairs); err != nil {
-			t.Fatal(err)
-		}
+		st.Extend(pairs)
 		if got, want := st.Point(), pabKernel.Stat(pairs); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Point() = %v, PABKernel.Stat = %v", got, want)
 		}
@@ -121,15 +116,11 @@ func TestAnalysisStateSnapshotResume(t *testing.T) {
 	pairs := testPairs(r, n)
 
 	ref, _ := crit.NewAnalysis(9, 1)
-	if err := ref.Extend(pairs); err != nil {
-		t.Fatal(err)
-	}
+	ref.Extend(pairs)
 	refSnap, _ := ref.Snapshot()
 
 	half, _ := crit.NewAnalysis(9, 1)
-	if err := half.Extend(pairs[:10]); err != nil {
-		t.Fatal(err)
-	}
+	half.Extend(pairs[:10])
 	blob, err := half.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +132,53 @@ func TestAnalysisStateSnapshotResume(t *testing.T) {
 	if restored.N() != 10 || restored.Seed() != 9 || restored.Bootstrap() != 500 {
 		t.Fatalf("restored identity: n=%d seed=%d k=%d", restored.N(), restored.Seed(), restored.Bootstrap())
 	}
-	if err := restored.Extend(pairs[10:]); err != nil {
-		t.Fatal(err)
-	}
+	restored.Extend(pairs[10:])
 	got, _ := restored.Snapshot()
 	if !bytes.Equal(got, refSnap) {
 		t.Fatal("restore→extend differs from uninterrupted analysis")
+	}
+}
+
+// parentSnapshotK16 is an AnalysisState snapshot persisted by an earlier
+// release: PAB{Bootstrap: 16}.NewAnalysis(5, ·) extended by the first 10 of
+// testPairs(xrand.New(41), 15). Stores written then must keep resuming.
+const parentSnapshotK16 = "" +
+	"5642414e53310a000000000000000700000000000000d6f2763379db0e4036db" +
+	"e30342250a4056424143433104100000000000000005000000000000000a0000" +
+	"000000000000000000000000001be96138bc3723406276efc4d07c2e409ebf39" +
+	"cb76c721409748fffe7df82840baab2b63ebc02c4099e7500323381440a78765" +
+	"04fcfe274074b9f57f7db023402eba935e2dd2284094e26f461ea11a40bc82ca" +
+	"509f562240c0a54b2d83262f40bfe370a58cab254087719483a2c7164052e231" +
+	"54dff424407cda451dba4c25407229fb5f31491840172d7e161eb9184028f6bb" +
+	"5b12f2204029c578caf4401c4012cf25fa2ee21c408c0ed1fc79c00a4011ac59" +
+	"0c3454fe3fdeb12c710bdb1a40c1d889252d9c2840dfbe580b705c1140c49bc8" +
+	"b6d0861d40fe484399634e3140401549c3c09c1840bd1a2a70839601406c5e4d" +
+	"d18d77164078a3db862b711d40"
+
+// TestAnalysisSnapshotCompat: a snapshot written by an earlier release
+// restores, extends by 5 more pairs, and matches a from-scratch analysis of
+// all 15 bit for bit.
+func TestAnalysisSnapshotCompat(t *testing.T) {
+	crit := PAB{Bootstrap: 16}
+	pairs := testPairs(xrand.New(41), 15)
+	blob, err := hex.DecodeString(parentSnapshotK16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := crit.RestoreAnalysis(blob, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.N() != 10 || restored.Seed() != 5 || restored.Bootstrap() != 16 {
+		t.Fatalf("restored identity: n=%d seed=%d k=%d", restored.N(), restored.Seed(), restored.Bootstrap())
+	}
+	restored.Extend(pairs[10:])
+	fresh, _ := crit.NewAnalysis(5, 1)
+	fresh.Extend(pairs)
+	got, _ := restored.Snapshot()
+	want, _ := fresh.Snapshot()
+	if !bytes.Equal(got, want) {
+		t.Fatal("restored earlier-release snapshot diverges from a from-scratch analysis")
 	}
 }
 
@@ -155,9 +187,7 @@ func TestAnalysisStateSnapshotResume(t *testing.T) {
 func TestRestoreAnalysisRejects(t *testing.T) {
 	crit := PAB{Bootstrap: 100}
 	st, _ := crit.NewAnalysis(1, 1)
-	if err := st.Extend(testPairs(xrand.New(2), 8)); err != nil {
-		t.Fatal(err)
-	}
+	st.Extend(testPairs(xrand.New(2), 8))
 	good, _ := st.Snapshot()
 
 	if _, err := (PAB{Bootstrap: 200}).RestoreAnalysis(good, 1); err == nil {
@@ -169,17 +199,21 @@ func TestRestoreAnalysisRejects(t *testing.T) {
 	if _, err := crit.RestoreAnalysis([]byte("not a snapshot at all......"), 1); err == nil {
 		t.Fatal("accepted garbage")
 	}
-	// A mean-kind accumulator blob wrapped in an analysis header must be
-	// rejected as the wrong kernel.
-	acc, _ := stats.NewAccum(stats.AccMean, 100, 1)
-	if err := acc.ExtendFloats([]float64{1, 2, 3}, 1); err != nil {
-		t.Fatal(err)
+	// The same blob with any other accumulator kind byte must be rejected
+	// as the wrong kernel.
+	kindAt := analysisHeaderSize + len("VBACC1")
+	if good[kindAt] != byte(stats.AccPAB) {
+		t.Fatalf("kind byte at offset %d is %d, want %d", kindAt, good[kindAt], stats.AccPAB)
 	}
-	wrong := bytes.Clone(good[:analysisHeaderSize])
-	accBlob, _ := acc.MarshalBinary()
-	wrong = append(wrong, accBlob...)
-	if _, err := crit.RestoreAnalysis(wrong, 1); err == nil {
-		t.Fatal("accepted a foreign accumulator kind")
+	for kind := 0; kind < 256; kind++ {
+		if kind == int(stats.AccPAB) {
+			continue
+		}
+		wrong := bytes.Clone(good)
+		wrong[kindAt] = byte(kind)
+		if _, err := crit.RestoreAnalysis(wrong, 1); err == nil {
+			t.Fatalf("accepted a foreign accumulator kind %d", kind)
+		}
 	}
 	if _, err := crit.RestoreAnalysis(good, 1); err != nil {
 		t.Fatalf("rejected its own snapshot: %v", err)
@@ -200,9 +234,7 @@ func TestAnalysisStateDecisions(t *testing.T) {
 		sep[i] = stats.Pair{A: 1 + 0.05*r.NormFloat64(), B: 0.05 * r.NormFloat64()}
 	}
 	st, _ := crit.NewAnalysis(3, 1)
-	if err := st.Extend(sep); err != nil {
-		t.Fatal(err)
-	}
+	st.Extend(sep)
 	res, err := st.Evaluate()
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +249,7 @@ func TestAnalysisStateDecisions(t *testing.T) {
 		tied[i] = stats.Pair{A: v + 0.01*r.NormFloat64(), B: v + 0.01*r.NormFloat64()}
 	}
 	st2, _ := crit.NewAnalysis(3, 1)
-	if err := st2.Extend(tied); err != nil {
-		t.Fatal(err)
-	}
+	st2.Extend(tied)
 	res2, err := st2.Evaluate()
 	if err != nil {
 		t.Fatal(err)

@@ -8,29 +8,18 @@ import (
 )
 
 // Section 6 of the paper discusses accumulating evidence across multiple
-// datasets. Two families are implemented here: Demšar's (2006) Wilcoxon
-// signed-rank test over per-dataset mean performances (better with many
-// datasets), and Dror et al.'s (2017) replicability analysis that accepts an
-// algorithm only when it improves on every dataset under a partial-
-// conjunction multiple-comparison correction (better with few datasets,
-// which is the common case — papers typically use 3 to 5).
+// datasets. This file runs the per-dataset half: the recommended test on
+// every dataset at a multiple-comparison-adjusted threshold. The root
+// package combines the outcomes — Demšar's (2006) Wilcoxon signed-rank
+// test over per-dataset mean performances (better with many datasets) and
+// Dror et al.'s (2017) all-datasets replicability criterion (better with
+// few datasets, which is the common case — papers typically use 3 to 5).
 
 // DatasetOutcome is the per-dataset piece of a multi-dataset comparison.
 type DatasetOutcome struct {
 	Dataset       string
 	Result        Result  // the recommended P(A>B) test on this dataset
 	AdjustedGamma float64 // γ after the multiple-comparison adjustment
-}
-
-// MultiResult aggregates evidence across datasets.
-type MultiResult struct {
-	PerDataset []DatasetOutcome
-	// AllMeaningful reports Dror-style acceptance: A beats B significantly
-	// and meaningfully on every dataset at the corrected threshold.
-	AllMeaningful bool
-	// WilcoxonP is Demšar's signed-rank p-value over per-dataset means
-	// (one-sided, A greater).
-	WilcoxonP float64
 }
 
 // DatasetPairs carries the paired measures of one dataset.
@@ -41,75 +30,32 @@ type DatasetPairs struct {
 
 // AcrossDatasets runs the recommended test on each dataset with a
 // Bonferroni-adjusted meaningfulness threshold (Section 6's suggestion) and
-// combines the outcomes: Dror-style all-datasets acceptance plus Demšar's
-// Wilcoxon over per-dataset mean differences.
-func AcrossDatasets(datasets []DatasetPairs, gamma, alpha float64, r *xrand.Source) (MultiResult, error) {
-	return AcrossDatasetsCrit(datasets, PAB{Gamma: gamma}, alpha, r)
-}
-
-// AcrossDatasetsCrit is AcrossDatasets with an explicit criterion carrying
-// the CI level and bootstrap count; crit.Gamma is the unadjusted γ.
-func AcrossDatasetsCrit(datasets []DatasetPairs, crit PAB, alpha float64, r *xrand.Source) (MultiResult, error) {
+// returns the outcomes in dataset order. crit carries the CI level, the
+// bootstrap count and the unadjusted γ. The per-dataset bootstrap is
+// sharded across `workers` goroutines, and each dataset's resampling stream
+// is derived from (seed, dataset name) alone, so the outcome is independent
+// of both the worker count and the dataset evaluation order.
+func AcrossDatasets(datasets []DatasetPairs, crit PAB, alpha float64, seed uint64, workers int) ([]DatasetOutcome, error) {
 	if len(datasets) == 0 {
-		return MultiResult{}, fmt.Errorf("compare: no datasets")
+		return nil, fmt.Errorf("compare: no datasets")
 	}
 	adjGamma := stats.GammaBonferroni(crit.gamma(), alpha, len(datasets))
 	if err := validAdjustedGamma(adjGamma); err != nil {
-		return MultiResult{}, err
-	}
-	res := MultiResult{AllMeaningful: true}
-	meansA := make([]float64, 0, len(datasets))
-	meansB := make([]float64, 0, len(datasets))
-	for _, ds := range datasets {
-		crit := PAB{Gamma: adjGamma, Level: crit.Level, Bootstrap: crit.Bootstrap}
-		out, err := crit.Evaluate(ds.Pairs, r)
-		if err != nil {
-			return MultiResult{}, fmt.Errorf("compare: dataset %s: %w", ds.Name, err)
-		}
-		res.PerDataset = append(res.PerDataset, DatasetOutcome{
-			Dataset: ds.Name, Result: out, AdjustedGamma: adjGamma,
-		})
-		if out.Decision != SignificantAndMeaningful {
-			res.AllMeaningful = false
-		}
-		appendMeans(&meansA, &meansB, ds.Pairs)
-	}
-	res.WilcoxonP = wilcoxonAcross(meansA, meansB)
-	return res, nil
-}
-
-// AcrossDatasetsSharded is AcrossDatasetsCrit with the per-dataset bootstrap
-// sharded across `workers` goroutines. Each dataset's resampling stream is
-// derived from (seed, dataset name) alone, so the outcome is independent of
-// both the worker count and the dataset evaluation order.
-func AcrossDatasetsSharded(datasets []DatasetPairs, crit PAB, alpha float64, seed uint64, workers int) (MultiResult, error) {
-	if len(datasets) == 0 {
-		return MultiResult{}, fmt.Errorf("compare: no datasets")
-	}
-	adjGamma := stats.GammaBonferroni(crit.gamma(), alpha, len(datasets))
-	if err := validAdjustedGamma(adjGamma); err != nil {
-		return MultiResult{}, err
+		return nil, err
 	}
 	root := xrand.New(seed)
-	res := MultiResult{AllMeaningful: true}
-	meansA := make([]float64, 0, len(datasets))
-	meansB := make([]float64, 0, len(datasets))
+	res := make([]DatasetOutcome, 0, len(datasets))
 	for _, ds := range datasets {
 		crit := PAB{Gamma: adjGamma, Level: crit.Level, Bootstrap: crit.Bootstrap}
 		dsSeed := root.Split("dataset/" + ds.Name).Uint64()
-		out, err := crit.EvaluateSharded(ds.Pairs, dsSeed, workers)
+		out, err := crit.Evaluate(ds.Pairs, dsSeed, workers)
 		if err != nil {
-			return MultiResult{}, fmt.Errorf("compare: dataset %s: %w", ds.Name, err)
+			return nil, fmt.Errorf("compare: dataset %s: %w", ds.Name, err)
 		}
-		res.PerDataset = append(res.PerDataset, DatasetOutcome{
+		res = append(res, DatasetOutcome{
 			Dataset: ds.Name, Result: out, AdjustedGamma: adjGamma,
 		})
-		if out.Decision != SignificantAndMeaningful {
-			res.AllMeaningful = false
-		}
-		appendMeans(&meansA, &meansB, ds.Pairs)
 	}
-	res.WilcoxonP = wilcoxonAcross(meansA, meansB)
 	return res, nil
 }
 
@@ -121,23 +67,4 @@ func validAdjustedGamma(g float64) error {
 		return fmt.Errorf("compare: adjusted γ = %v out of (0.5, 1)", g)
 	}
 	return nil
-}
-
-func appendMeans(meansA, meansB *[]float64, pairs []stats.Pair) {
-	var ma, mb float64
-	for _, p := range pairs {
-		ma += p.A
-		mb += p.B
-	}
-	*meansA = append(*meansA, ma/float64(len(pairs)))
-	*meansB = append(*meansB, mb/float64(len(pairs)))
-}
-
-// wilcoxonAcross is Demšar's one-sided signed-rank test over per-dataset
-// means; meaningless below 3 datasets, where it reports 1.
-func wilcoxonAcross(meansA, meansB []float64) float64 {
-	if len(meansA) < 3 {
-		return 1
-	}
-	return stats.WilcoxonSignedRank(meansA, meansB, stats.GreaterTailed).PValue
 }

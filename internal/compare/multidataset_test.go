@@ -20,22 +20,29 @@ func datasetsWithEffect(r *xrand.Source, nDatasets, nPairs int, diff float64) []
 	return out
 }
 
+// allMeaningful is the Dror-style all-datasets acceptance over outcomes.
+func allMeaningful(outcomes []DatasetOutcome) bool {
+	for _, d := range outcomes {
+		if d.Result.Decision != SignificantAndMeaningful {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAcrossDatasetsAcceptsUniformWinner(t *testing.T) {
 	r := xrand.New(1)
 	ds := datasetsWithEffect(r, 4, 40, 2.0)
-	res, err := AcrossDatasets(ds, 0.75, 0.05, r)
+	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllMeaningful {
-		t.Errorf("uniform dominance should be accepted: %+v", res.PerDataset)
-	}
-	if res.WilcoxonP > 0.1 {
-		t.Errorf("Wilcoxon p = %v, want small for uniform dominance", res.WilcoxonP)
+	if !allMeaningful(res) {
+		t.Errorf("uniform dominance should be accepted: %+v", res)
 	}
 	// Adjusted γ must be stricter than the nominal one.
-	if res.PerDataset[0].AdjustedGamma <= 0.75 {
-		t.Errorf("adjusted γ = %v, want > 0.75", res.PerDataset[0].AdjustedGamma)
+	if res[0].AdjustedGamma <= 0.75 {
+		t.Errorf("adjusted γ = %v, want > 0.75", res[0].AdjustedGamma)
 	}
 }
 
@@ -47,39 +54,45 @@ func TestAcrossDatasetsRejectsWhenOneDatasetFails(t *testing.T) {
 		base := r.NormFloat64()
 		ds[2].Pairs[i] = stats.Pair{A: base, B: base + 0.3*r.NormFloat64()}
 	}
-	res, err := AcrossDatasets(ds, 0.75, 0.05, r)
+	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AllMeaningful {
+	if allMeaningful(res) {
 		t.Error("one null dataset must block all-datasets acceptance")
+	}
+	if d := res[2]; d.Result.Decision == SignificantAndMeaningful {
+		t.Errorf("null dataset judged meaningful: %+v", d)
 	}
 }
 
 func TestAcrossDatasetsNullControlled(t *testing.T) {
 	r := xrand.New(3)
 	ds := datasetsWithEffect(r, 4, 30, 0)
-	res, err := AcrossDatasets(ds, 0.75, 0.05, r)
+	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AllMeaningful {
+	if allMeaningful(res) {
 		t.Error("null effect accepted across datasets")
 	}
 }
 
 func TestAcrossDatasetsSmallCounts(t *testing.T) {
 	r := xrand.New(4)
-	// Two datasets: Wilcoxon is not applicable, must report p=1.
+	// Two datasets: one outcome each, in order, at the m=2 Bonferroni γ.
 	ds := datasetsWithEffect(r, 2, 20, 1.5)
-	res, err := AcrossDatasets(ds, 0.75, 0.05, r)
+	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WilcoxonP != 1 {
-		t.Errorf("Wilcoxon with 2 datasets should be 1, got %v", res.WilcoxonP)
+	if len(res) != 2 || res[0].Dataset != "a" || res[1].Dataset != "b" {
+		t.Fatalf("outcomes %+v, want datasets a, b in order", res)
 	}
-	if _, err := AcrossDatasets(nil, 0.75, 0.05, r); err == nil {
+	if want := stats.GammaBonferroni(0.75, 0.05, 2); res[0].AdjustedGamma != want || res[1].AdjustedGamma != want {
+		t.Errorf("adjusted γ = %v, %v, want %v", res[0].AdjustedGamma, res[1].AdjustedGamma, want)
+	}
+	if _, err := AcrossDatasets(nil, PAB{}, 0.05, 1, 1); err == nil {
 		t.Error("empty dataset list should error")
 	}
 }

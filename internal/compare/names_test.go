@@ -47,7 +47,7 @@ func TestPABCustomLevel(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: r.Normal(2, 1), B: r.NormFloat64()}
 	}
-	res, err := c.Evaluate(pairs, r)
+	res, err := c.Evaluate(pairs, r.Uint64(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

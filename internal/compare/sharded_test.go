@@ -21,12 +21,12 @@ func shardedPairs(n int, diff float64, seed uint64) []stats.Pair {
 
 func TestEvaluateShardedWorkerInvariance(t *testing.T) {
 	pairs := shardedPairs(29, 1.0, 3)
-	ref, err := PAB{}.EvaluateSharded(pairs, 11, 1)
+	ref, err := PAB{}.Evaluate(pairs, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0), 64} {
-		res, err := PAB{}.EvaluateSharded(pairs, 11, w)
+		res, err := PAB{}.Evaluate(pairs, 11, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,10 +40,10 @@ func TestEvaluateShardedWorkerInvariance(t *testing.T) {
 }
 
 func TestEvaluateShardedTooFewPairs(t *testing.T) {
-	if _, err := (PAB{}).EvaluateSharded(nil, 1, 4); err == nil {
+	if _, err := (PAB{}).Evaluate(nil, 1, 4); err == nil {
 		t.Error("empty pairs accepted")
 	}
-	if _, err := (PAB{}).EvaluateSharded(shardedPairs(1, 1, 1), 1, 4); err == nil {
+	if _, err := (PAB{}).Evaluate(shardedPairs(1, 1, 1), 1, 4); err == nil {
 		t.Error("single pair accepted")
 	}
 }
@@ -58,12 +58,12 @@ func TestEvaluateUnpairedShardedWorkerInvariance(t *testing.T) {
 	for i := range b {
 		b[i] = r.NormFloat64()
 	}
-	ref, err := PAB{}.EvaluateUnpairedSharded(a, b, 13, 1)
+	ref, err := PAB{}.EvaluateUnpaired(a, b, 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		res, err := PAB{}.EvaluateUnpairedSharded(a, b, 13, w)
+		res, err := PAB{}.EvaluateUnpaired(a, b, 13, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestEvaluateUnpairedShardedWorkerInvariance(t *testing.T) {
 			t.Errorf("workers=%d: %+v != serial reference %+v", w, res, ref)
 		}
 	}
-	if _, err := (PAB{}).EvaluateUnpairedSharded(a[:1], b, 13, 2); err == nil {
+	if _, err := (PAB{}).EvaluateUnpaired(a[:1], b, 13, 2); err == nil {
 		t.Error("single measure accepted")
 	}
 }
@@ -82,11 +82,11 @@ func TestAcrossDatasetsShardedOrderAndWorkerInvariance(t *testing.T) {
 		{Name: "d2", Pairs: shardedPairs(30, 1.5, 2)},
 		{Name: "d3", Pairs: shardedPairs(30, 2.5, 3)},
 	}
-	ref, err := AcrossDatasetsSharded(ds, PAB{}, 0.05, 7, 1)
+	ref, err := AcrossDatasets(ds, PAB{}, 0.05, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := AcrossDatasetsSharded(ds, PAB{}, 0.05, 7, runtime.GOMAXPROCS(0))
+	many, err := AcrossDatasets(ds, PAB{}, 0.05, 7, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +96,21 @@ func TestAcrossDatasetsShardedOrderAndWorkerInvariance(t *testing.T) {
 	// Per-dataset streams are keyed by (seed, name): shuffling the dataset
 	// list permutes the outcomes without changing any of them.
 	shuffled := []DatasetPairs{ds[2], ds[0], ds[1]}
-	perm, err := AcrossDatasetsSharded(shuffled, PAB{}, 0.05, 7, 4)
+	perm, err := AcrossDatasets(shuffled, PAB{}, 0.05, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]DatasetOutcome{}
-	for _, d := range perm.PerDataset {
+	for _, d := range perm {
 		byName[d.Dataset] = d
 	}
-	for _, d := range ref.PerDataset {
+	for _, d := range ref {
 		if got := byName[d.Dataset]; got != d {
 			t.Errorf("dataset %s changed under reordering:\n %+v\n %+v", d.Dataset, got, d)
 		}
 	}
-	if !ref.AllMeaningful {
-		t.Errorf("uniform winner rejected: %+v", ref.PerDataset)
+	if !allMeaningful(ref) {
+		t.Errorf("uniform winner rejected: %+v", ref)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestSaturatedGammaKeepsMeaningfulReachable(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: 1, B: 0}
 	}
-	res, err := PAB{Gamma: stats.GammaMax}.EvaluateSharded(pairs, 1, 4)
+	res, err := PAB{Gamma: stats.GammaMax}.Evaluate(pairs, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

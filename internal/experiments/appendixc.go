@@ -80,7 +80,7 @@ func AppendixC(gamma float64, seed uint64) (AppendixCResult, error) {
 	if err != nil {
 		return AppendixCResult{}, err
 	}
-	out, err := compare.PAB{Gamma: gamma}.Evaluate(pairs, xrand.New(seed^0xC1))
+	out, err := compare.PAB{Gamma: gamma}.Evaluate(pairs, seed^0xC1, 1)
 	if err != nil {
 		return AppendixCResult{}, err
 	}

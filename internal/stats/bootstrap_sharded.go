@@ -9,16 +9,16 @@ import (
 	"varbench/internal/xrand"
 )
 
-// The sharded bootstrap: the K resamples are partitioned into shards whose
-// boundaries and RNG streams depend only on (seed, K) — never on the worker
-// count or on scheduling — so the resampled statistics, and therefore the
-// confidence interval, are bit-identical at any parallelism. Statistics
-// dispatch through the kernel layer (kernel.go): the protocol's own
-// statistics run fused — accumulating straight from sampled indices with no
-// resample buffer — while arbitrary closures keep the buffered path via the
-// StatFunc adapters. All scratch (the resampled-statistic vector, the shard
-// descriptors, buffered-path buffers) cycles through pools, so the engine
-// allocates nothing in steady state.
+// The sharded bootstrap: the one-shot percentile-bootstrap engine. The K
+// resamples are partitioned into shards whose boundaries and RNG streams
+// depend only on (seed, K) — never on the worker count or on scheduling —
+// so the resampled statistics, and therefore the confidence interval, are
+// bit-identical at any parallelism. There is one entry point per sample
+// shape: PairedPercentileBootstrapKernel for paired measures and
+// TwoSampleBootstrapKernel for unpaired ones. Statistics dispatch through
+// the kernel layer (kernel.go). All scratch (the resampled-statistic
+// vector, the shard descriptors, kernel buffers) cycles through pools, so
+// the engine allocates nothing in steady state.
 
 // maxBootstrapShards bounds the shard count. 64 shards keep the work queue
 // balanced for any plausible worker count while each shard still amortizes
@@ -74,7 +74,7 @@ func getShards(k int, seed uint64) *[]bootstrapShard {
 }
 
 // resampler is the engine-facing half of the kernel interfaces, generic
-// over the sample shape (one-sample, paired, two-sample).
+// over the sample shape (paired, two-sample).
 type resampler[S any] interface {
 	ResampleInto(out []float64, sample S, r *xrand.Source)
 }
@@ -82,10 +82,10 @@ type resampler[S any] interface {
 // twoSamples bundles two unpaired samples into one engine sample value.
 type twoSamples struct{ a, b []float64 }
 
-type twoSampleAdapter struct{ TwoSampleKernel }
+type twoSampleAdapter struct{ f TwoSampleStatFunc }
 
 func (t twoSampleAdapter) ResampleInto(out []float64, s twoSamples, r *xrand.Source) {
-	t.TwoSampleKernel.ResampleInto(out, s.a, s.b, r)
+	t.f.ResampleInto(out, s.a, s.b, r)
 }
 
 // shardedVals fills vals with len(vals) resampled statistics of kern over
@@ -163,55 +163,26 @@ func bootstrapCI[S any, K resampler[S]](sample S, sampleLen int, kern K, k int, 
 	return ci
 }
 
-// PercentileBootstrapKernel computes the sharded percentile-bootstrap CI of
-// a one-sample kernel statistic: K resamples with replacement, interval
+// PairedPercentileBootstrapKernel computes the sharded percentile-bootstrap
+// CI of a paired kernel statistic: K resamples of whole pairs with
+// replacement (resampling pairs jointly preserves the pairing), interval
 // given by the α/2 and 1-α/2 empirical quantiles of the resampled
-// statistics. Results depend only on (x, kern, k, level, seed): any worker
-// count, including 1, produces bit-identical intervals. Degenerate input
-// (empty x, k ≤ 0, level outside (0,1)) yields a NaN CI.
-func PercentileBootstrapKernel(x []float64, kern Kernel, k int, level float64, seed uint64, workers int) CI {
-	return bootstrapCI[[]float64, Kernel](x, len(x), kern, k, level, seed, workers)
-}
-
-// PairedPercentileBootstrapKernel is PercentileBootstrapKernel for paired
-// kernels: whole pairs are resampled jointly, preserving the pairing
-// (Appendix C.5's procedure for P(A>B)).
+// statistics. This is Appendix C.5's procedure for P(A>B). Results depend
+// only on (pairs, kern, k, level, seed): any worker count, including 1,
+// produces bit-identical intervals. Degenerate input (no pairs, k ≤ 0,
+// level outside (0,1)) yields a NaN CI.
 func PairedPercentileBootstrapKernel(pairs []Pair, kern PairedKernel, k int, level float64, seed uint64, workers int) CI {
 	return bootstrapCI[[]Pair, PairedKernel](pairs, len(pairs), kern, k, level, seed, workers)
 }
 
-// TwoSampleBootstrapKernel is PercentileBootstrapKernel for two-sample
-// kernels: each resample redraws both a and b independently with
-// replacement. This is the engine behind the unpaired (Mann-Whitney)
+// TwoSampleBootstrapKernel is PairedPercentileBootstrapKernel for
+// two-sample statistics: each resample redraws both a and b independently
+// with replacement. This is the engine behind the unpaired (Mann-Whitney)
 // variant of the recommended test.
-func TwoSampleBootstrapKernel(a, b []float64, kern TwoSampleKernel, k int, level float64, seed uint64, workers int) CI {
+func TwoSampleBootstrapKernel(a, b []float64, stat TwoSampleStatFunc, k int, level float64, seed uint64, workers int) CI {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
-	return bootstrapCI[twoSamples, twoSampleAdapter](twoSamples{a, b}, n, twoSampleAdapter{kern}, k, level, seed, workers)
-}
-
-// PercentileBootstrapSharded is the closure form of
-// PercentileBootstrapKernel: statistic must be safe for concurrent calls on
-// distinct buffers (a pure function of its argument, as every statistic
-// here is). Statistics with a fused kernel should use the kernel entry
-// point directly; closures take the buffered fallback path.
-func PercentileBootstrapSharded(x []float64, statistic func([]float64) float64,
-	k int, level float64, seed uint64, workers int) CI {
-	return PercentileBootstrapKernel(x, StatFunc(statistic), k, level, seed, workers)
-}
-
-// PairedPercentileBootstrapSharded is the closure form of
-// PairedPercentileBootstrapKernel; see PercentileBootstrapSharded for the
-// concurrency contract.
-func PairedPercentileBootstrapSharded(pairs []Pair, statistic func([]Pair) float64,
-	k int, level float64, seed uint64, workers int) CI {
-	return PairedPercentileBootstrapKernel(pairs, PairStatFunc(statistic), k, level, seed, workers)
-}
-
-// TwoSampleBootstrapSharded is the closure form of TwoSampleBootstrapKernel.
-func TwoSampleBootstrapSharded(a, b []float64, statistic func(a, b []float64) float64,
-	k int, level float64, seed uint64, workers int) CI {
-	return TwoSampleBootstrapKernel(a, b, TwoSampleStatFunc(statistic), k, level, seed, workers)
+	return bootstrapCI[twoSamples, twoSampleAdapter](twoSamples{a, b}, n, twoSampleAdapter{stat}, k, level, seed, workers)
 }

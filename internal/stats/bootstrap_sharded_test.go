@@ -30,18 +30,25 @@ func TestBootstrapShardsPureInK(t *testing.T) {
 }
 
 func TestPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
-	x := shardedSample(29, 3)
+	pairs := randomPairs(xrand.New(3), 29)
 	workerCounts := []int{1, 2, 3, 4, 7, 8, runtime.GOMAXPROCS(0), 100}
-	ref := PercentileBootstrapSharded(x, Mean, 1000, 0.95, 42, 1)
+	ref := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 42, 1)
 	for _, w := range workerCounts {
-		ci := PercentileBootstrapSharded(x, Mean, 1000, 0.95, 42, w)
+		ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 42, w)
 		if ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
-	// Different seeds give different resamples.
-	other := PercentileBootstrapSharded(x, Mean, 1000, 0.95, 43, 4)
-	if other == ref {
+	// Different seeds give different resamples. P(A>B) resamples lie on a
+	// 1/(2n) grid, so one other seed may land on the same interval; ten
+	// cannot all do so.
+	seedMatters := false
+	for seed := uint64(43); seed < 53; seed++ {
+		if PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, seed, 4) != ref {
+			seedMatters = true
+		}
+	}
+	if !seedMatters {
 		t.Error("seed has no effect on the sharded bootstrap")
 	}
 	if ref.Lo > ref.Hi || ref.Level != 0.95 {
@@ -56,18 +63,9 @@ func TestPairedPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
 		base := r.NormFloat64()
 		pairs[i] = Pair{A: base + 1, B: base + 0.3*r.NormFloat64()}
 	}
-	stat := func(p []Pair) float64 {
-		wins := 0.0
-		for _, pr := range p {
-			if pr.A > pr.B {
-				wins++
-			}
-		}
-		return wins / float64(len(p))
-	}
-	ref := PairedPercentileBootstrapSharded(pairs, stat, 1000, 0.95, 9, 1)
+	ref := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 9, 1)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if ci := PairedPercentileBootstrapSharded(pairs, stat, 1000, 0.95, 9, w); ci != ref {
+		if ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 9, w); ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
@@ -85,10 +83,10 @@ func TestTwoSampleBootstrapShardedWorkerInvariance(t *testing.T) {
 		a[i] += 1.5
 	}
 	b := shardedSample(20, 2)
-	meanDiff := func(x, y []float64) float64 { return Mean(x) - Mean(y) }
-	ref := TwoSampleBootstrapSharded(a, b, meanDiff, 800, 0.9, 5, 1)
+	meanDiff := TwoSampleStatFunc(func(x, y []float64) float64 { return Mean(x) - Mean(y) })
+	ref := TwoSampleBootstrapKernel(a, b, meanDiff, 800, 0.9, 5, 1)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if ci := TwoSampleBootstrapSharded(a, b, meanDiff, 800, 0.9, 5, w); ci != ref {
+		if ci := TwoSampleBootstrapKernel(a, b, meanDiff, 800, 0.9, 5, w); ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
@@ -99,17 +97,14 @@ func TestTwoSampleBootstrapShardedWorkerInvariance(t *testing.T) {
 
 func TestPercentileBootstrapShardedCoversMean(t *testing.T) {
 	// Statistical sanity: the sharded engine is still a valid percentile
-	// bootstrap — a 95% CI for the mean covers the true mean ≈95% of the
-	// time.
+	// bootstrap — a 95% CI for the mean difference covers the true mean
+	// ≈95% of the time.
 	r := xrand.New(21)
 	const reps = 150
 	hits := 0
 	for rep := 0; rep < reps; rep++ {
-		x := make([]float64, 40)
-		for i := range x {
-			x[i] = r.Normal(10, 2)
-		}
-		ci := PercentileBootstrapSharded(x, Mean, 500, 0.95, uint64(rep), 4)
+		pairs := meanDiffPairs(r, 40)
+		ci := PairedPercentileBootstrapKernel(pairs, meanDiffKernel{}, 500, 0.95, uint64(rep), 4)
 		if ci.Contains(10) {
 			hits++
 		}
@@ -117,6 +112,38 @@ func TestPercentileBootstrapShardedCoversMean(t *testing.T) {
 	rate := float64(hits) / reps
 	if rate < 0.88 || rate > 0.995 {
 		t.Errorf("sharded bootstrap CI coverage = %v, want ≈0.95", rate)
+	}
+}
+
+// TestPercentileBootstrapCoversPAB: the seeded paired engine is a valid
+// percentile bootstrap of P(A>B) — a 95% CI covers the true probability
+// of outperforming about 95% of the time, at Noether's n=29 and at n=100,
+// for a null and a meaningful effect. Differences D = A−B are N(μ, 1), so
+// the true P(A>B) = Φ(μ).
+func TestPercentileBootstrapCoversPAB(t *testing.T) {
+	const reps = 400
+	for _, truth := range []float64{0.5, 0.75} {
+		mu := NormQuantile(truth)
+		for _, n := range []int{29, 100} {
+			r := xrand.New(uint64(1000*truth) + uint64(n))
+			pairs := make([]Pair, n)
+			hits := 0
+			for rep := 0; rep < reps; rep++ {
+				for i := range pairs {
+					base := r.NormFloat64()
+					pairs[i] = Pair{A: base + mu + r.NormFloat64(), B: base}
+				}
+				ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, r.Uint64(), 1)
+				if ci.Contains(truth) {
+					hits++
+				}
+			}
+			rate := float64(hits) / reps
+			t.Logf("P(A>B)=%v n=%d: coverage %v", truth, n, rate)
+			if rate < 0.88 || rate > 0.995 {
+				t.Errorf("P(A>B)=%v n=%d: 95%% CI coverage = %v, want ≈0.95", truth, n, rate)
+			}
+		}
 	}
 }
 

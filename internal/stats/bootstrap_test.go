@@ -8,18 +8,45 @@ import (
 	"varbench/internal/xrand"
 )
 
+// meanDiffKernel is a buffered paired kernel for the mean difference
+// mean(A−B): each resample is materialized with xrand.SampleInto.
+type meanDiffKernel struct{}
+
+func (meanDiffKernel) Stat(pairs []Pair) float64 {
+	sum := 0.0
+	for _, pr := range pairs {
+		sum += pr.A - pr.B
+	}
+	return sum / float64(len(pairs))
+}
+
+func (meanDiffKernel) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
+	buf := make([]Pair, len(pairs))
+	for b := range out {
+		xrand.SampleInto(r, buf, pairs)
+		out[b] = meanDiffKernel{}.Stat(buf)
+	}
+}
+
+// meanDiffPairs draws n pairs whose differences A−B are N(10, 2²).
+func meanDiffPairs(r *xrand.Source, n int) []Pair {
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		base := r.NormFloat64()
+		pairs[i] = Pair{A: base + r.Normal(10, 2), B: base}
+	}
+	return pairs
+}
+
 func TestPercentileBootstrapCoversMean(t *testing.T) {
-	// Coverage check: a 95% CI for the mean should contain the true mean
-	// in roughly 95% of repetitions.
+	// Coverage check: a serial 95% CI for the mean difference should
+	// contain the true mean in roughly 95% of repetitions.
 	r := xrand.New(1)
 	const reps = 200
 	hits := 0
 	for rep := 0; rep < reps; rep++ {
-		x := make([]float64, 40)
-		for i := range x {
-			x[i] = r.Normal(10, 2)
-		}
-		ci := PercentileBootstrap(x, Mean, 500, 0.95, r)
+		pairs := meanDiffPairs(r, 40)
+		ci := PairedPercentileBootstrapKernel(pairs, meanDiffKernel{}, 500, 0.95, r.Uint64(), 1)
 		if ci.Contains(10) {
 			hits++
 		}
@@ -33,12 +60,8 @@ func TestPercentileBootstrapCoversMean(t *testing.T) {
 func TestPercentileBootstrapOrdering(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := 5 + r.Intn(30)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		ci := PercentileBootstrap(x, Mean, 200, 0.9, r)
+		pairs := randomPairs(r, 5+r.Intn(30))
+		ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 200, 0.9, r.Uint64(), 1)
 		return ci.Lo <= ci.Hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -54,15 +77,7 @@ func TestPairedPercentileBootstrapPAB(t *testing.T) {
 		base := r.NormFloat64()
 		pairs[i] = Pair{A: base + 1.5, B: base + 0.3*r.NormFloat64()}
 	}
-	stat := func(p []Pair) float64 {
-		a := make([]float64, len(p))
-		b := make([]float64, len(p))
-		for i, pr := range p {
-			a[i], b[i] = pr.A, pr.B
-		}
-		return PairedPAB(a, b)
-	}
-	ci := PairedPercentileBootstrap(pairs, stat, 1000, 0.95, r)
+	ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 7, 1)
 	if ci.Lo <= 0.5 {
 		t.Errorf("CI.Lo = %v, want > 0.5 for dominated pairs", ci.Lo)
 	}
@@ -76,21 +91,6 @@ func TestNormalCI(t *testing.T) {
 	want := 1.959963984540054 * 0.05
 	approxEq(t, "NormalCI lo", ci.Lo, 0.8-want, 1e-9)
 	approxEq(t, "NormalCI hi", ci.Hi, 0.8+want, 1e-9)
-}
-
-func TestBootstrapStdOfMean(t *testing.T) {
-	// The bootstrap std of the mean should approximate σ/√n.
-	r := xrand.New(11)
-	n := 100
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.Normal(0, 3)
-	}
-	got := BootstrapStd(x, Mean, 2000, r)
-	want := 3 / math.Sqrt(float64(n))
-	if math.Abs(got-want) > 0.1 {
-		t.Errorf("bootstrap std of mean = %v, want ≈ %v", got, want)
-	}
 }
 
 func TestNoetherSampleSizePaper(t *testing.T) {

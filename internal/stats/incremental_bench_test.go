@@ -19,33 +19,25 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 	pairs := randomPairs(xrand.New(31), 1024+nNew)
 
 	for _, nOld := range []int{0, 64, 512} {
-		base, err := NewAccum(AccPAB, k, 77)
+		base, err := NewAccum(k, 77)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := base.ExtendPairs(pairs[:nOld], 1); err != nil {
-			b.Fatal(err)
-		}
-		snap, err := base.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		work, err := NewAccum(AccPAB, k, 77)
+		base.ExtendPairs(pairs[:nOld], 1)
+		work, err := NewAccum(k, 77)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("pab-k%d-nold%d-new%d", k, nOld, nNew), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// restoreInto resets to the n_old state in place (a column
-				// copy, no allocation) so every iteration times exactly one
-				// batch extension at a fixed n_old.
-				if err := work.restoreInto(snap); err != nil {
-					b.Fatal(err)
-				}
-				if err := work.ExtendPairs(pairs[nOld:nOld+nNew], 1); err != nil {
-					b.Fatal(err)
-				}
+				// Reset to the n_old state in place (a column copy, no
+				// allocation) so every iteration times exactly one batch
+				// extension at a fixed n_old.
+				copy(work.weight, base.weight)
+				copy(work.winsX2, base.winsX2)
+				work.n = base.n
+				work.ExtendPairs(pairs[nOld:nOld+nNew], 1)
 			}
 		})
 	}
@@ -55,13 +47,11 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 	b.Run(fmt.Sprintf("pab-k%d-fromscratch-n%d", k, 512+nNew), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ac, err := NewAccum(AccPAB, k, 77)
+			ac, err := NewAccum(k, 77)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := ac.ExtendPairs(pairs[:512+nNew], 1); err != nil {
-				b.Fatal(err)
-			}
+			ac.ExtendPairs(pairs[:512+nNew], 1)
 		}
 	})
 }
@@ -70,13 +60,11 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 // populated accumulator — the per-batch-boundary evaluation cost, which is
 // O(K) and allocation-free on the pooled scratch.
 func BenchmarkIncrementalCI(b *testing.B) {
-	ac, err := NewAccum(AccPAB, 1000, 77)
+	ac, err := NewAccum(1000, 77)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ac.ExtendPairs(randomPairs(xrand.New(31), 64), 1); err != nil {
-		b.Fatal(err)
-	}
+	ac.ExtendPairs(randomPairs(xrand.New(31), 64), 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if ci := ac.CI(0.95); ci.Lo > ci.Hi {

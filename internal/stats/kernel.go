@@ -7,40 +7,22 @@ import (
 )
 
 // The statistic-kernel layer of the bootstrap engine. A kernel owns the
-// whole resampling loop for one statistic, which lets the statistics the
-// recommended protocol actually uses — mean, mean difference, variance and
-// the P(A>B) win count — accumulate directly from sampled indices: no
-// resample buffer, no closure call per resample, no per-resample allocation.
-// Arbitrary statistics keep the historical buffered path through the
-// StatFunc/PairStatFunc/TwoSampleStatFunc adapters, which materialize each
-// resample in a pooled scratch buffer and call the closure.
+// whole resampling loop for one statistic. The paired P(A>B) win count of
+// the recommended protocol runs fused (PABKernel): it accumulates directly
+// from sampled indices, with no resample buffer, no closure call per
+// resample and no per-resample allocation. The rank-based unpaired
+// statistic takes the buffered path (TwoSampleStatFunc), which
+// materializes each resample in pooled scratch and calls the closure.
 //
 // Determinism contract (every implementation MUST obey it, or worker-count
 // invariance and the golden reports break):
 //
 //   - exactly one r.Intn(len(sample)) per sampled element, drawn in element
 //     order (for two-sample kernels: all of a's draws, then all of b's);
-//   - out[i] must be bit-identical to computing the buffered statistic on
-//     the materialized resample — same floating-point operations in the
-//     same order as the closure counterpart;
+//   - out[i] must be bit-identical to computing Stat on the materialized
+//     resample — same floating-point operations in the same order;
 //   - no other reads of r, and no dependence on how [0, len(out)) resamples
 //     are partitioned across shards or workers.
-//
-// Under this contract a fused kernel is observationally identical to its
-// closure counterpart — every CI, report and golden test stays bit-identical
-// at any worker count — and the speedup is visible only in ns/op and B/op.
-
-// A Kernel computes a one-sample statistic over bootstrap resamples.
-type Kernel interface {
-	// Stat is the buffered reference semantics: the statistic of one
-	// materialized sample. Fused Resample implementations must match it
-	// bit-for-bit on the resample they draw.
-	Stat(x []float64) float64
-	// ResampleInto fills out[i] with the statistic of the i-th of len(out)
-	// independent with-replacement resamples of x drawn from r, following
-	// the determinism contract above.
-	ResampleInto(out, x []float64, r *xrand.Source)
-}
 
 // A PairedKernel computes a paired-sample statistic over bootstrap
 // resamples of whole pairs (resampling pairs jointly preserves the pairing,
@@ -50,18 +32,10 @@ type PairedKernel interface {
 	ResampleInto(out []float64, pairs []Pair, r *xrand.Source)
 }
 
-// A TwoSampleKernel computes a two-sample statistic over independent
-// resamples of two unpaired samples: each resample redraws all of a, then
-// all of b.
-type TwoSampleKernel interface {
-	Stat(a, b []float64) float64
-	ResampleInto(out []float64, a, b []float64, r *xrand.Source)
-}
-
 // ---------------------------------------------------------------------------
 // Pooled scratch. The bootstrap engine is allocation-free in steady state:
-// resampled-statistic vectors, shard descriptors and buffered-path scratch
-// all cycle through pools. Slices are pooled by pointer so Put does not
+// resampled-statistic vectors, shard descriptors and kernel scratch all
+// cycle through pools. Slices are pooled by pointer so Put does not
 // allocate.
 
 var floatPool sync.Pool // *[]float64
@@ -78,19 +52,6 @@ func getFloats(n int) *[]float64 {
 
 func putFloats(p *[]float64) { floatPool.Put(p) }
 
-var pairPool sync.Pool // *[]Pair
-
-func getPairs(n int) *[]Pair {
-	if p, _ := pairPool.Get().(*[]Pair); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	s := make([]Pair, n)
-	return &s
-}
-
-func putPairs(p *[]Pair) { pairPool.Put(p) }
-
 var intPool sync.Pool // *[]int64
 
 func getInts(n int) *[]int64 {
@@ -105,63 +66,7 @@ func getInts(n int) *[]int64 {
 func putInts(p *[]int64) { intPool.Put(p) }
 
 // ---------------------------------------------------------------------------
-// Fused one-sample kernels.
-
-// MeanKernel is the fused kernel for the sample mean (closure counterpart:
-// Mean).
-type MeanKernel struct{}
-
-// Stat implements Kernel.
-func (MeanKernel) Stat(x []float64) float64 { return Mean(x) }
-
-// ResampleInto implements Kernel: the mean accumulates in draw order,
-// exactly as Mean sums a materialized resample buffer.
-func (MeanKernel) ResampleInto(out, x []float64, r *xrand.Source) {
-	n := len(x)
-	for b := range out {
-		out[b] = r.SampleSum(x, n) / float64(n)
-	}
-}
-
-// VarianceKernel is the kernel for the unbiased sample variance (closure
-// counterpart: Variance). Variance is inherently two-pass — the second pass
-// needs the drawn values again — so the kernel stages each resample in a
-// pooled scratch buffer via the bulk sampler and applies Variance to it:
-// bit-identity is by construction, and the win over an ad-hoc closure is
-// the allocation-free engine, not fewer passes.
-type VarianceKernel struct{}
-
-// Stat implements Kernel.
-func (VarianceKernel) Stat(x []float64) float64 { return Variance(x) }
-
-// ResampleInto implements Kernel by delegating to the buffered path — the
-// same body a Variance closure would run, kept in one place.
-func (VarianceKernel) ResampleInto(out, x []float64, r *xrand.Source) {
-	StatFunc(Variance).ResampleInto(out, x, r)
-}
-
-// StatFunc adapts an arbitrary one-sample statistic to the Kernel
-// interface: the buffered fallback path. Each resample is materialized in a
-// pooled scratch buffer (acquired once per ResampleInto call) and handed to
-// the closure, reproducing the historical copy-then-call loop exactly.
-type StatFunc func([]float64) float64
-
-// Stat implements Kernel.
-func (f StatFunc) Stat(x []float64) float64 { return f(x) }
-
-// ResampleInto implements Kernel.
-func (f StatFunc) ResampleInto(out, x []float64, r *xrand.Source) {
-	sp := getFloats(len(x))
-	buf := *sp
-	for b := range out {
-		xrand.SampleInto(r, buf, x)
-		out[b] = f(buf)
-	}
-	putFloats(sp)
-}
-
-// ---------------------------------------------------------------------------
-// Fused paired kernels.
+// Kernels.
 
 // PABKernel is the fused kernel for the plug-in estimator of P(A>B) over
 // paired measures (Equation 9): the fraction of pairs A wins, ties counted
@@ -210,84 +115,13 @@ func (PABKernel) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
 	putInts(wp)
 }
 
-// MeanDiffKernel is the fused kernel for the mean paired difference
-// mean(A-B), the statistic behind average-comparison bootstraps.
-type MeanDiffKernel struct{}
-
-// Stat implements PairedKernel.
-func (MeanDiffKernel) Stat(pairs []Pair) float64 {
-	d := 0.0
-	for _, pr := range pairs {
-		d += pr.A - pr.B
-	}
-	return d / float64(len(pairs))
-}
-
-// ResampleInto implements PairedKernel. The per-pair difference A-B is
-// precomputed once — the same subtraction the reference performs per draw,
-// so the accumulated values are bit-identical.
-func (MeanDiffKernel) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
-	n := len(pairs)
-	dp := getFloats(n)
-	d := *dp
-	for i, pr := range pairs {
-		d[i] = pr.A - pr.B
-	}
-	for b := range out {
-		out[b] = r.SampleSum(d, n) / float64(n)
-	}
-	putFloats(dp)
-}
-
-// PairStatFunc adapts an arbitrary paired statistic to the PairedKernel
-// interface (buffered fallback, pooled scratch).
-type PairStatFunc func([]Pair) float64
-
-// Stat implements PairedKernel.
-func (f PairStatFunc) Stat(pairs []Pair) float64 { return f(pairs) }
-
-// ResampleInto implements PairedKernel.
-func (f PairStatFunc) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
-	sp := getPairs(len(pairs))
-	buf := *sp
-	for b := range out {
-		xrand.SampleInto(r, buf, pairs)
-		out[b] = f(buf)
-	}
-	putPairs(sp)
-}
-
-// ---------------------------------------------------------------------------
-// Fused two-sample kernels.
-
-// TwoSampleMeanDiffKernel is the fused kernel for the difference of means
-// mean(a)-mean(b) of two unpaired samples.
-type TwoSampleMeanDiffKernel struct{}
-
-// Stat implements TwoSampleKernel.
-func (TwoSampleMeanDiffKernel) Stat(a, b []float64) float64 { return Mean(a) - Mean(b) }
-
-// ResampleInto implements TwoSampleKernel: all of a's draws, then all of
-// b's, each mean accumulating in draw order like Mean over the materialized
-// buffers.
-func (TwoSampleMeanDiffKernel) ResampleInto(out []float64, a, b []float64, r *xrand.Source) {
-	na, nb := len(a), len(b)
-	for i := range out {
-		sa := r.SampleSum(a, na)
-		sb := r.SampleSum(b, nb)
-		out[i] = sa/float64(na) - sb/float64(nb)
-	}
-}
-
-// TwoSampleStatFunc adapts an arbitrary two-sample statistic to the
-// TwoSampleKernel interface (buffered fallback, pooled scratch for both
-// samples).
+// TwoSampleStatFunc is a two-sample statistic over independent resamples
+// of two unpaired samples, run on the buffered path: each resample redraws
+// all of a, then all of b, into pooled scratch and calls the function.
 type TwoSampleStatFunc func(a, b []float64) float64
 
-// Stat implements TwoSampleKernel.
-func (f TwoSampleStatFunc) Stat(a, b []float64) float64 { return f(a, b) }
-
-// ResampleInto implements TwoSampleKernel.
+// ResampleInto fills out[i] with the statistic of the i-th of len(out)
+// resample pairs drawn from r, following the determinism contract above.
 func (f TwoSampleStatFunc) ResampleInto(out []float64, a, b []float64, r *xrand.Source) {
 	pa, pb := getFloats(len(a)), getFloats(len(b))
 	bufA, bufB := *pa, *pb

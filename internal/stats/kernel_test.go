@@ -47,11 +47,26 @@ func ciEqual(a, b CI) bool {
 	return eq(a.Lo, b.Lo) && eq(a.Hi, b.Hi) && a.Level == b.Level
 }
 
-// TestFusedKernelsMatchClosures is the kernel/closure equivalence property
-// test: every fused kernel must produce bit-identical CIs to its buffered
-// closure counterpart, for random inputs, across the worker grid, in both
-// the sharded and the serial caller-stream engines. This is the determinism
-// contract of kernel.go made executable.
+// bufferedPAB is the buffered reference for PABKernel: each resample is
+// materialized with xrand.SampleInto and handed to PABKernel.Stat.
+type bufferedPAB struct{}
+
+func (bufferedPAB) Stat(pairs []Pair) float64 { return PABKernel{}.Stat(pairs) }
+
+func (bufferedPAB) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
+	buf := make([]Pair, len(pairs))
+	for b := range out {
+		xrand.SampleInto(r, buf, pairs)
+		out[b] = PABKernel{}.Stat(buf)
+	}
+}
+
+// TestFusedKernelsMatchClosures is the fused/buffered equivalence property
+// test: PABKernel must produce bit-identical CIs to its buffered reference,
+// for random inputs, across the worker grid, and consume a caller stream
+// exactly as the reference does. The buffered two-sample adapter must draw
+// all of a, then all of b, per resample. This is the determinism contract
+// of kernel.go made executable.
 func TestFusedKernelsMatchClosures(t *testing.T) {
 	r := xrand.New(1234)
 	for trial := 0; trial < 30; trial++ {
@@ -63,96 +78,54 @@ func TestFusedKernelsMatchClosures(t *testing.T) {
 		pairs := randomPairs(r, n)
 		y := randomSample(r, 2+r.Intn(40))
 
-		oneSample := []struct {
-			name    string
-			kern    Kernel
-			closure func([]float64) float64
-		}{
-			{"mean", MeanKernel{}, Mean},
-			{"variance", VarianceKernel{}, Variance},
-		}
-		for _, c := range oneSample {
-			for _, w := range kernelWorkerGrid() {
-				fused := PercentileBootstrapKernel(x, c.kern, k, level, seed, w)
-				closed := PercentileBootstrapSharded(x, c.closure, k, level, seed, w)
-				if !ciEqual(fused, closed) {
-					t.Fatalf("trial %d %s workers=%d: fused %+v != closure %+v",
-						trial, c.name, w, fused, closed)
-				}
-			}
-			rf, rc := xrand.New(seed), xrand.New(seed)
-			fused := PercentileBootstrapWith(x, c.kern, k, level, rf)
-			closed := PercentileBootstrapWith(x, StatFunc(c.closure), k, level, rc)
-			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d %s serial: fused %+v != closure %+v", trial, c.name, fused, closed)
-			}
-			if rf.Uint64() != rc.Uint64() {
-				t.Fatalf("trial %d %s: fused kernel consumed the stream differently", trial, c.name)
-			}
-		}
-
-		paired := []struct {
-			name    string
-			kern    PairedKernel
-			closure func([]Pair) float64
-		}{
-			{"pab", PABKernel{}, PABKernel{}.Stat},
-			{"meandiff", MeanDiffKernel{}, MeanDiffKernel{}.Stat},
-		}
-		for _, c := range paired {
-			for _, w := range kernelWorkerGrid() {
-				fused := PairedPercentileBootstrapKernel(pairs, c.kern, k, level, seed, w)
-				closed := PairedPercentileBootstrapSharded(pairs, c.closure, k, level, seed, w)
-				if !ciEqual(fused, closed) {
-					t.Fatalf("trial %d %s workers=%d: fused %+v != closure %+v",
-						trial, c.name, w, fused, closed)
-				}
-			}
-			rf, rc := xrand.New(seed), xrand.New(seed)
-			fused := PairedPercentileBootstrapWith(pairs, c.kern, k, level, rf)
-			closed := PairedPercentileBootstrapWith(pairs, PairStatFunc(c.closure), k, level, rc)
-			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d %s serial: fused %+v != closure %+v", trial, c.name, fused, closed)
-			}
-			if rf.Uint64() != rc.Uint64() {
-				t.Fatalf("trial %d %s: fused kernel consumed the stream differently", trial, c.name)
-			}
-		}
-
-		meanDiff := TwoSampleMeanDiffKernel{}
 		for _, w := range kernelWorkerGrid() {
-			fused := TwoSampleBootstrapKernel(x, y, meanDiff, k, level, seed, w)
-			closed := TwoSampleBootstrapSharded(x, y, meanDiff.Stat, k, level, seed, w)
-			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d two-sample workers=%d: fused %+v != closure %+v", trial, w, fused, closed)
+			fused := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, level, seed, w)
+			buffered := PairedPercentileBootstrapKernel(pairs, bufferedPAB{}, k, level, seed, w)
+			if !ciEqual(fused, buffered) {
+				t.Fatalf("trial %d workers=%d: fused %+v != buffered %+v", trial, w, fused, buffered)
 			}
 		}
-		rf, rc := xrand.New(seed), xrand.New(seed)
-		fused := TwoSampleBootstrapWith(x, y, meanDiff, k, level, rf)
-		closed := TwoSampleBootstrapWith(x, y, TwoSampleStatFunc(meanDiff.Stat), k, level, rc)
-		if !ciEqual(fused, closed) {
-			t.Fatalf("trial %d two-sample serial: fused %+v != closure %+v", trial, fused, closed)
+		rf, rb := xrand.New(seed), xrand.New(seed)
+		fused, buffered := make([]float64, k), make([]float64, k)
+		PABKernel{}.ResampleInto(fused, pairs, rf)
+		bufferedPAB{}.ResampleInto(buffered, pairs, rb)
+		for i := range fused {
+			if math.Float64bits(fused[i]) != math.Float64bits(buffered[i]) {
+				t.Fatalf("trial %d resample %d: fused %v != buffered %v", trial, i, fused[i], buffered[i])
+			}
 		}
-		if rf.Uint64() != rc.Uint64() {
-			t.Fatal("two-sample fused kernel consumed the stream differently")
+		if rf.Uint64() != rb.Uint64() {
+			t.Fatalf("trial %d: fused kernel consumed the stream differently", trial)
+		}
+
+		meanDiff := TwoSampleStatFunc(func(a, b []float64) float64 { return Mean(a) - Mean(b) })
+		got := make([]float64, k)
+		ra, rr := xrand.New(seed), xrand.New(seed)
+		meanDiff.ResampleInto(got, x, y, ra)
+		bufA, bufB := make([]float64, len(x)), make([]float64, len(y))
+		for i := range got {
+			for j := range bufA {
+				bufA[j] = x[rr.Intn(len(x))]
+			}
+			for j := range bufB {
+				bufB[j] = y[rr.Intn(len(y))]
+			}
+			if want := Mean(bufA) - Mean(bufB); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d two-sample resample %d: %v != reference %v", trial, i, got[i], want)
+			}
+		}
+		if ra.Uint64() != rr.Uint64() {
+			t.Fatalf("trial %d: two-sample adapter consumed the stream differently", trial)
 		}
 	}
 }
 
-// TestKernelStatsMatchReferences pins the Stat methods to the package-level
-// reference implementations on the full (un-resampled) sample.
+// TestKernelStatsMatchReferences pins PABKernel.Stat to the reference
+// definition on the full (un-resampled) sample.
 func TestKernelStatsMatchReferences(t *testing.T) {
 	r := xrand.New(7)
-	x := randomSample(r, 23)
-	if got, want := (MeanKernel{}).Stat(x), Mean(x); got != want {
-		t.Errorf("MeanKernel.Stat = %v, want %v", got, want)
-	}
-	if got, want := (VarianceKernel{}).Stat(x), Variance(x); got != want {
-		t.Errorf("VarianceKernel.Stat = %v, want %v", got, want)
-	}
 	pairs := randomPairs(r, 23)
 	wins := 0.0
-	d := 0.0
 	for _, pr := range pairs {
 		switch {
 		case pr.A > pr.B:
@@ -160,27 +133,20 @@ func TestKernelStatsMatchReferences(t *testing.T) {
 		case pr.A == pr.B:
 			wins += 0.5
 		}
-		d += pr.A - pr.B
 	}
 	if got, want := (PABKernel{}).Stat(pairs), wins/float64(len(pairs)); got != want {
 		t.Errorf("PABKernel.Stat = %v, want %v", got, want)
 	}
-	if got, want := (MeanDiffKernel{}).Stat(pairs), d/float64(len(pairs)); got != want {
-		t.Errorf("MeanDiffKernel.Stat = %v, want %v", got, want)
-	}
-	y := randomSample(r, 17)
-	if got, want := (TwoSampleMeanDiffKernel{}).Stat(x, y), Mean(x)-Mean(y); got != want {
-		t.Errorf("TwoSampleMeanDiffKernel.Stat = %v, want %v", got, want)
-	}
 }
 
-// TestBootstrapDegenerateInputs covers the satellite guard: k ≤ 0, empty
-// samples and a confidence level outside (0,1) answer with the documented
-// NaN CI — and consume no randomness on the serial paths — instead of
-// panicking inside the quantile machinery.
+// TestBootstrapDegenerateInputs covers the degenerate-input guard: k ≤ 0,
+// empty samples and a confidence level outside (0,1) answer with the
+// documented NaN CI on both seeded entry points, at any worker count,
+// instead of panicking inside the quantile machinery.
 func TestBootstrapDegenerateInputs(t *testing.T) {
 	x := []float64{1, 2, 3}
 	pairs := []Pair{{1, 2}, {3, 4}}
+	mw := TwoSampleStatFunc(func(a, b []float64) float64 { return MannWhitney(a, b, TwoTailed).PAB })
 	isNaNCI := func(t *testing.T, ci CI, level float64) {
 		t.Helper()
 		if !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
@@ -211,66 +177,34 @@ func TestBootstrapDegenerateInputs(t *testing.T) {
 			if c.empty {
 				sx, sp = nil, nil
 			}
-			r := xrand.New(5)
-			before := xrand.New(5).Uint64()
-			isNaNCI(t, PercentileBootstrap(sx, Mean, c.k, c.level, r), c.level)
-			isNaNCI(t, PairedPercentileBootstrap(sp, PABKernel{}.Stat, c.k, c.level, r), c.level)
-			isNaNCI(t, TwoSampleBootstrapWith(sx, sx, TwoSampleMeanDiffKernel{}, c.k, c.level, r), c.level)
-			if got := r.Uint64(); got != before {
-				t.Error("degenerate serial bootstrap consumed randomness")
-			}
 			for _, w := range []int{1, 4} {
-				isNaNCI(t, PercentileBootstrapKernel(sx, MeanKernel{}, c.k, c.level, 9, w), c.level)
 				isNaNCI(t, PairedPercentileBootstrapKernel(sp, PABKernel{}, c.k, c.level, 9, w), c.level)
-				isNaNCI(t, TwoSampleBootstrapKernel(sx, sx, TwoSampleMeanDiffKernel{}, c.k, c.level, 9, w), c.level)
+				isNaNCI(t, TwoSampleBootstrapKernel(sx, sx, mw, c.k, c.level, 9, w), c.level)
+				isNaNCI(t, TwoSampleBootstrapKernel(x, sx, mw, c.k, c.level, 9, w), c.level)
 			}
 		})
 	}
-	// BootstrapStd: NaN, no randomness consumed.
-	r := xrand.New(5)
-	if !math.IsNaN(BootstrapStd(nil, Mean, 100, r)) {
-		t.Error("BootstrapStd on empty sample should be NaN")
-	}
-	if !math.IsNaN(BootstrapStd(x, Mean, 0, r)) {
-		t.Error("BootstrapStd with k=0 should be NaN")
-	}
-	if got, want := r.Uint64(), xrand.New(5).Uint64(); got != want {
-		t.Error("degenerate BootstrapStd consumed randomness")
-	}
 }
 
-// TestKernelEntryPointsMatchClosureEntryPoints locks the closure-form
-// Sharded wrappers to the kernel engine: a closure that mirrors a fused
-// statistic goes through StatFunc and must land on the same CI.
+// TestKernelEntryPointsMatchClosureEntryPoints locks the paired entry point
+// to the buffered reference at resample counts on both sides of the shard
+// count, where shard boundaries change shape.
 func TestKernelEntryPointsMatchClosureEntryPoints(t *testing.T) {
 	r := xrand.New(99)
-	x := randomSample(r, 31)
+	pairs := randomPairs(r, 31)
 	for _, k := range []int{1, 2, 63, 64, 65, 1000} {
-		fused := PercentileBootstrapKernel(x, MeanKernel{}, k, 0.9, 3, 4)
-		closed := PercentileBootstrapSharded(x, Mean, k, 0.9, 3, 4)
-		if !ciEqual(fused, closed) {
-			t.Fatalf("k=%d: kernel %+v != closure %+v", k, fused, closed)
-		}
-	}
-}
-
-// TestBootstrapStdKernelEquivalence covers the serial Std engine's kernel
-// dispatch.
-func TestBootstrapStdKernelEquivalence(t *testing.T) {
-	r := xrand.New(17)
-	x := randomSample(r, 25)
-	for _, k := range []int{10, 200} {
-		a := BootstrapStd(x, Mean, k, xrand.New(8))
-		b := BootstrapStdWith(x, MeanKernel{}, k, xrand.New(8))
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("k=%d: closure std %v != kernel std %v", k, a, b)
+		fused := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.9, 3, 4)
+		buffered := PairedPercentileBootstrapKernel(pairs, bufferedPAB{}, k, 0.9, 3, 4)
+		if !ciEqual(fused, buffered) {
+			t.Fatalf("k=%d: kernel %+v != buffered %+v", k, fused, buffered)
 		}
 	}
 }
 
 // TestShardedWorkerInvarianceFusedGrid re-runs the worker-grid invariance
-// check on the fused kernels specifically (the closure grid lives in
-// bootstrap_sharded_test.go), at several K to cross shard-count boundaries.
+// check on the fused kernel specifically (the paired and two-sample grids
+// live in bootstrap_sharded_test.go), at several K to cross shard-count
+// boundaries.
 func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 	r := xrand.New(31)
 	pairs := randomPairs(r, 29)
@@ -286,28 +220,29 @@ func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 }
 
 func TestBootstrapSmallSamples(t *testing.T) {
-	// n=1: resampling a single value is legal for the mean (degenerate CI at
-	// the value) and NaN for the variance (n-1 = 0) — on both paths.
-	one := []float64{2.5}
+	// n=1: resampling a single pair is legal and collapses the CI at that
+	// pair's win weight; single-element unpaired samples collapse too.
+	mw := TwoSampleStatFunc(func(a, b []float64) float64 { return MannWhitney(a, b, TwoTailed).PAB })
 	for _, w := range []int{1, 4} {
-		ci := PercentileBootstrapKernel(one, MeanKernel{}, 100, 0.95, 1, w)
-		if ci.Lo != 2.5 || ci.Hi != 2.5 {
-			t.Errorf("workers=%d: mean CI of singleton = %+v, want collapsed at 2.5", w, ci)
+		for _, c := range []struct {
+			pair Pair
+			want float64
+		}{{Pair{A: 2, B: 1}, 1}, {Pair{A: 1, B: 1}, 0.5}, {Pair{A: 1, B: 2}, 0}} {
+			ci := PairedPercentileBootstrapKernel([]Pair{c.pair}, PABKernel{}, 100, 0.95, 1, w)
+			if ci.Lo != c.want || ci.Hi != c.want {
+				t.Errorf("workers=%d: PAB CI of singleton %+v = %+v, want collapsed at %v", w, c.pair, ci, c.want)
+			}
 		}
-		vci := PercentileBootstrapKernel(one, VarianceKernel{}, 100, 0.95, 1, w)
-		closed := PercentileBootstrapSharded(one, Variance, 100, 0.95, 1, w)
-		if !ciEqual(vci, closed) {
-			t.Errorf("workers=%d: variance singleton fused %+v != closure %+v", w, vci, closed)
-		}
-		if !math.IsNaN(vci.Lo) {
-			t.Errorf("workers=%d: variance CI of singleton = %+v, want NaN", w, vci)
+		ci := TwoSampleBootstrapKernel([]float64{3}, []float64{1}, mw, 100, 0.95, 1, w)
+		if ci.Lo != 1 || ci.Hi != 1 {
+			t.Errorf("workers=%d: unpaired CI of singletons = %+v, want collapsed at 1", w, ci)
 		}
 	}
 }
 
-func ExamplePercentileBootstrapKernel() {
-	x := []float64{0.71, 0.74, 0.69, 0.73, 0.75, 0.70, 0.72}
-	ci := PercentileBootstrapKernel(x, MeanKernel{}, 1000, 0.95, 42, 4)
+func ExamplePairedPercentileBootstrapKernel() {
+	pairs := []Pair{{0.74, 0.71}, {0.76, 0.73}, {0.70, 0.71}, {0.75, 0.72}, {0.77, 0.74}}
+	ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 42, 4)
 	fmt.Printf("level=%.2f lo<hi: %v\n", ci.Level, ci.Lo < ci.Hi)
 	// Output: level=0.95 lo<hi: true
 }

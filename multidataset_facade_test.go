@@ -23,27 +23,35 @@ func syntheticDatasets(seed uint64, nDatasets, n int, diff float64) []DatasetSco
 }
 
 func TestCompareAcrossDatasetsWinner(t *testing.T) {
-	res, err := CompareAcrossDatasets(syntheticDatasets(1, 4, 40, 2.0))
+	res, err := AnalyzeDatasets(syntheticDatasets(1, 4, 40, 2.0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.AllMeaningful {
-		t.Errorf("uniform winner rejected: %+v", res.PerDataset)
+		t.Errorf("uniform winner rejected: %+v", res.Datasets)
 	}
 	if res.WilcoxonP > 0.1 {
 		t.Errorf("Wilcoxon p = %v", res.WilcoxonP)
 	}
-	if len(res.PerDataset) != 4 || len(res.Names) != 4 {
+	if len(res.Datasets) != 4 || res.Datasets[3].Name != "D" {
 		t.Error("per-dataset bookkeeping wrong")
 	}
 	// Adjusted γ stricter than default.
-	if res.PerDataset[0].Gamma <= DefaultGamma {
-		t.Errorf("adjusted γ = %v", res.PerDataset[0].Gamma)
+	if res.Datasets[0].Comparison.Gamma <= DefaultGamma {
+		t.Errorf("adjusted γ = %v", res.Datasets[0].Comparison.Gamma)
+	}
+	// Two datasets: Wilcoxon is not applicable and reports p=1.
+	two, err := AnalyzeDatasets(syntheticDatasets(1, 2, 20, 2.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.WilcoxonP != 1 {
+		t.Errorf("Wilcoxon with 2 datasets should be 1, got %v", two.WilcoxonP)
 	}
 }
 
 func TestCompareAcrossDatasetsNull(t *testing.T) {
-	res, err := CompareAcrossDatasets(syntheticDatasets(2, 3, 30, 0))
+	res, err := AnalyzeDatasets(syntheticDatasets(2, 3, 30, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +62,10 @@ func TestCompareAcrossDatasetsNull(t *testing.T) {
 
 func TestCompareAcrossDatasetsErrors(t *testing.T) {
 	bad := []DatasetScores{{Name: "x", ScoresA: []float64{1}, ScoresB: []float64{1, 2}}}
-	if _, err := CompareAcrossDatasets(bad); err == nil {
+	if _, err := AnalyzeDatasets(bad); err == nil {
 		t.Error("unpaired dataset accepted")
 	}
-	if _, err := CompareAcrossDatasets(nil); err == nil {
+	if _, err := AnalyzeDatasets(nil); err == nil {
 		t.Error("empty dataset list accepted")
 	}
 }

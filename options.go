@@ -24,8 +24,8 @@ const (
 )
 
 // An Option adjusts an Experiment (or, for the score-level entry points
-// Analyze, AnalyzeDatasets and the deprecated Compare family, the protocol
-// parameters they share with Experiment).
+// Analyze and AnalyzeDatasets, the protocol parameters they share with
+// Experiment).
 type Option func(*Experiment)
 
 // WithGamma sets the meaningfulness threshold for P(A>B) (default 0.75).

@@ -11,9 +11,9 @@ import (
 )
 
 // TestTrialStreamMatchesHistoricalSeeds pins the lazy trial stream to the
-// seed sequence of the historical eager makeTrials (captured from the
-// pre-stream implementation), so experiments keep reproducing bit-for-bit
-// across the refactor. The golden values cover the vary-all default, a
+// historical seed sequence (captured from the eager pre-stream
+// implementation), so experiments keep reproducing bit-for-bit across
+// refactors. The golden values cover the vary-all default, a
 // restricted Sources set on a named dataset, and a custom source label.
 func TestTrialStreamMatchesHistoricalSeeds(t *testing.T) {
 	type goldenTrial struct {
@@ -33,14 +33,14 @@ func TestTrialStreamMatchesHistoricalSeeds(t *testing.T) {
 			n := min(2, len(want)-len(trials))
 			trials = stream.take(trials, n)
 		}
-		// The eager wrapper must agree with the stream.
-		eager := cfg.makeTrials(dataset)
+		// Taking the whole prefix in one call must agree with the slices.
+		eager := cfg.trialStream(dataset).take(nil, len(want))
 		for i, w := range want {
 			if trials[i].Index != i || trials[i].Seed != w.seed {
 				t.Errorf("%s trial %d: seed %#x, want %#x", name, i, trials[i].Seed, w.seed)
 			}
 			if eager[i].Seed != w.seed {
-				t.Errorf("%s makeTrials %d: seed %#x, want %#x", name, i, eager[i].Seed, w.seed)
+				t.Errorf("%s one-shot take %d: seed %#x, want %#x", name, i, eager[i].Seed, w.seed)
 			}
 			for s, seed := range w.src {
 				if got := trials[i].SourceSeed(s); got != seed {
@@ -312,12 +312,8 @@ func TestScoreEntryPointsRejectTooFewScores(t *testing.T) {
 	}); err == nil {
 		t.Error("AnalyzeDatasets with a 1-score dataset: accepted")
 	}
-	// Deprecated wrappers route through the same boundary.
-	if _, err := Compare([]float64{1}, []float64{2}); err == nil {
-		t.Error("Compare single pair: accepted")
-	}
-	if _, err := CompareUnpaired([]float64{1}, []float64{2, 3}); err == nil {
-		t.Error("CompareUnpaired single measure: accepted")
+	if _, err := Analyze([]float64{1}, []float64{2, 3}, WithUnpaired()); err == nil {
+		t.Error("Analyze unpaired single measure: accepted")
 	}
 }
 

@@ -336,14 +336,13 @@ func combineEvidence(datasets []DatasetResult) (allMeaningful bool, wilcoxonP fl
 }
 
 // protocol carries the statistical knobs of one evaluation of the
-// recommended test; it is the engine behind Experiment.Run, Analyze and the
-// deprecated Compare family. The bootstrap resampling is sharded across
-// `workers` goroutines with (seed, bootstrap)-deterministic shard streams,
-// so evaluations are bit-identical at any worker count. The P(A>B)
-// statistic dispatches as a fused kernel (internal/stats.PABKernel): each
-// resample accumulates straight from sampled indices with no resample
-// buffer and no steady-state allocation, under a determinism contract that
-// keeps the resulting CIs bit-identical to the buffered closure path.
+// recommended test; it is the one-shot engine behind Analyze. The bootstrap
+// resampling is sharded across `workers` goroutines with
+// (seed, bootstrap)-deterministic shard streams, so evaluations are
+// bit-identical at any worker count. The paired P(A>B) statistic
+// dispatches as a fused kernel (internal/stats.PABKernel): each resample
+// accumulates straight from sampled indices with no resample buffer and no
+// steady-state allocation.
 type protocol struct {
 	gamma     float64
 	level     float64
@@ -370,7 +369,7 @@ func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
 		return Comparison{}, err
 	}
 	crit := compare.PAB{Gamma: p.gamma, Level: p.level, Bootstrap: p.bootstrap}
-	res, err := crit.EvaluateSharded(pairs, p.seed, p.workers)
+	res, err := crit.Evaluate(pairs, p.seed, p.workers)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -390,7 +389,7 @@ func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
 // unpaired runs the Mann-Whitney variant for scores without shared seeds.
 func (p protocol) unpaired(scoresA, scoresB []float64) (Comparison, error) {
 	crit := compare.PAB{Gamma: p.gamma, Level: p.level, Bootstrap: p.bootstrap}
-	res, err := crit.EvaluateUnpairedSharded(scoresA, scoresB, p.seed, p.workers)
+	res, err := crit.EvaluateUnpaired(scoresA, scoresB, p.seed, p.workers)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -431,8 +430,8 @@ func validScores(scoresA, scoresB []float64, dataset string) error {
 // Analyze applies the recommended test to pre-collected scores and wraps
 // the conclusion in a renderable Result. Scores are treated as paired on
 // shared seeds unless WithUnpaired is given. This is the score-level entry
-// point the varbench compare subcommand and the deprecated Compare family
-// are built on; prefer Experiment.Run when you control the pipelines.
+// point the varbench compare subcommand is built on; prefer Experiment.Run
+// when you control the pipelines.
 func Analyze(scoresA, scoresB []float64, opts ...Option) (*Result, error) {
 	e, err := applyOptions(opts)
 	if err != nil {
@@ -508,7 +507,7 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		in = append(in, compare.DatasetPairs{Name: ds.Name, Pairs: pairs})
 	}
 	crit := compare.PAB{Gamma: e.Gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	res, err := compare.AcrossDatasetsSharded(in, crit, 0.05, e.Seed, e.AnalysisParallelism)
+	outcomes, err := compare.AcrossDatasets(in, crit, 0.05, e.Seed, e.AnalysisParallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +516,7 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		Gamma: e.Gamma,
 		Seed:  e.Seed,
 	}
-	for i, d := range res.PerDataset {
+	for i, d := range outcomes {
 		c := Comparison{
 			MeanA:        stats.Mean(datasets[i].ScoresA),
 			MeanB:        stats.Mean(datasets[i].ScoresB),
@@ -544,10 +543,6 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		out.Comparison = out.Datasets[0].Comparison
 		out.WilcoxonP = 1
 	} else {
-		// Deliberately recomputed via combineEvidence rather than taken
-		// from the MultiResult: the facade keeps ONE implementation of the
-		// Section 6 combination rule, shared with Experiment.Run (the
-		// internal fields remain for internal/compare's own users).
 		out.AllMeaningful, out.WilcoxonP = combineEvidence(out.Datasets)
 	}
 	return out, nil

@@ -114,12 +114,15 @@ func TestAnalyzeMatchesCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compare(a, b, WithSeed(3))
+	// The headline Comparison, the single dataset's entry and a
+	// single-dataset AnalyzeDatasets all report the same conclusion.
+	multi, err := AnalyzeDatasets([]DatasetScores{{ScoresA: a, ScoresB: b}}, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Comparison != c {
-		t.Errorf("Analyze and Compare disagree:\n %+v\n %+v", res.Comparison, c)
+	if res.Datasets[0].Comparison != res.Comparison || multi.Comparison.PAB != res.Comparison.PAB ||
+		multi.Comparison.Conclusion != res.Comparison.Conclusion {
+		t.Errorf("Analyze views disagree:\n %+v\n %+v\n %+v", res.Comparison, res.Datasets[0].Comparison, multi.Comparison)
 	}
 	if res.Pairs != 8 || len(res.Datasets) != 1 {
 		t.Error("result shape wrong")

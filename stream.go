@@ -30,9 +30,8 @@ import (
 // (extensions parallelize internally per WithAnalysisParallelism), while
 // Subscribe delivers results to any number of consumers.
 type Stream struct {
-	cfg  *Experiment
-	ana  *incAnalysis
-	crit compare.PAB
+	cfg *Experiment
+	ana *incAnalysis
 
 	// The full score history backs snapshot-mismatch rebuilds and the
 	// stale-snapshot settle in Result.
@@ -71,7 +70,6 @@ func NewStream(opts ...Option) (*Stream, error) {
 	return &Stream{
 		cfg:  cfg,
 		ana:  ana,
-		crit: crit,
 		subs: make(map[chan *Result]context.Context),
 	}, nil
 }
@@ -120,16 +118,10 @@ func (s *Stream) Extend(a, b []float64) (*Result, error) {
 func (s *Stream) Result() (*Result, error) {
 	if s.ana.n() > s.ana.fed() {
 		// Settle: discard the too-far snapshot and recompute from the
-		// buffered history — correct by construction.
-		fresh, err := s.crit.NewAnalysis(s.ana.seed, s.ana.workers)
-		if err != nil {
+		// buffered history.
+		if err := s.ana.rebuild(s.outA, s.outB); err != nil {
 			return nil, err
 		}
-		if err := fresh.Extend(s.ana.pairs(s.outA, s.outB)); err != nil {
-			return nil, err
-		}
-		s.ana.state = fresh
-		s.ana.restoredN = 0
 	}
 	return s.result()
 }

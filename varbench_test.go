@@ -1,6 +1,8 @@
 package varbench
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -8,15 +10,21 @@ import (
 	"varbench/internal/xrand"
 )
 
+// fixedN is the paper's fixed-N protocol as an Experiment: exactly n
+// serially collected pairs, no early stop.
+func fixedN(a, b RunFunc, n int, seed uint64) Experiment {
+	return Experiment{A: a, B: b, Seed: seed, MaxRuns: n, EarlyStop: EarlyStopOff, Parallelism: 1}
+}
+
 func TestCollectPairedSharesSeeds(t *testing.T) {
 	var seedsA, seedsB []uint64
 	a := func(seed uint64) (float64, error) { seedsA = append(seedsA, seed); return 1, nil }
 	b := func(seed uint64) (float64, error) { seedsB = append(seedsB, seed); return 0, nil }
-	sa, sb, err := CollectPaired(a, b, 5, 42)
+	res, err := fixedN(a, b, 5, 42).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sa) != 5 || len(sb) != 5 {
+	if d := res.Datasets[0]; len(d.ScoresA) != 5 || len(d.ScoresB) != 5 || len(seedsA) != 5 {
 		t.Fatal("wrong lengths")
 	}
 	for i := range seedsA {
@@ -37,15 +45,25 @@ func TestCollectPairedSharesSeeds(t *testing.T) {
 func TestCollectPairedPropagatesErrors(t *testing.T) {
 	bad := func(uint64) (float64, error) { return 0, errSentinel }
 	ok := func(uint64) (float64, error) { return 1, nil }
-	if _, _, err := CollectPaired(bad, ok, 3, 1); err == nil {
-		t.Error("A error not propagated")
+	ctx := context.Background()
+	if _, err := fixedN(bad, ok, 3, 1).Run(ctx); !errors.Is(err, errSentinel) {
+		t.Errorf("A error not propagated: %v", err)
 	}
-	if _, _, err := CollectPaired(ok, bad, 3, 1); err == nil {
-		t.Error("B error not propagated")
+	if _, err := fixedN(ok, bad, 3, 1).Run(ctx); !errors.Is(err, errSentinel) {
+		t.Errorf("B error not propagated: %v", err)
 	}
-	if _, _, err := CollectPaired(ok, ok, 0, 1); err == nil {
-		t.Error("n=0 should error")
+	if _, err := fixedN(ok, ok, 1, 1).Run(ctx); err == nil {
+		t.Error("n=1 should error")
 	}
+}
+
+// pairedComparison is Analyze reduced to its Comparison.
+func pairedComparison(a, b []float64, opts ...Option) (Comparison, error) {
+	res, err := Analyze(a, b, opts...)
+	if err != nil {
+		return Comparison{}, err
+	}
+	return res.Comparison, nil
 }
 
 type sentinel struct{}
@@ -64,7 +82,7 @@ func TestCompareDominantAlgorithm(t *testing.T) {
 		a[i] = base + 2
 		b[i] = base + 0.2*r.NormFloat64()
 	}
-	c, err := Compare(a, b)
+	c, err := pairedComparison(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +112,7 @@ func TestCompareNullIsNotSignificant(t *testing.T) {
 		a[i] = r.NormFloat64()
 		b[i] = r.NormFloat64()
 	}
-	c, err := Compare(a, b, WithSeed(7))
+	c, err := pairedComparison(a, b, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +123,16 @@ func TestCompareNullIsNotSignificant(t *testing.T) {
 
 func TestCompareOptionValidation(t *testing.T) {
 	a := []float64{1, 2, 3}
-	if _, err := Compare(a, []float64{1, 2}); err == nil {
+	if _, err := Analyze(a, []float64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := Compare(a, a, WithGamma(0.4)); err == nil {
+	if _, err := Analyze(a, a, WithGamma(0.4)); err == nil {
 		t.Error("γ ≤ 0.5 should error")
 	}
-	if _, err := Compare(a, a, WithGamma(1.0)); err == nil {
+	if _, err := Analyze(a, a, WithGamma(1.0)); err == nil {
 		t.Error("γ ≥ 1 should error")
 	}
-	if _, err := Compare([]float64{1}, []float64{2}); err == nil {
+	if _, err := Analyze([]float64{1}, []float64{2}); err == nil {
 		t.Error("single pair should error")
 	}
 }
@@ -128,11 +146,11 @@ func TestCompareDeterministicWithSeed(t *testing.T) {
 		a[i] = r.NormFloat64() + 0.5
 		b[i] = r.NormFloat64()
 	}
-	c1, err := Compare(a, b, WithSeed(9))
+	c1, err := pairedComparison(a, b, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Compare(a, b, WithSeed(9))
+	c2, err := pairedComparison(a, b, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +169,11 @@ func TestCompareGammaAffectsConclusion(t *testing.T) {
 		a[i] = r.NormFloat64() + 1.0
 		b[i] = r.NormFloat64()
 	}
-	low, err := Compare(a, b, WithGamma(0.55))
+	low, err := pairedComparison(a, b, WithGamma(0.55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Compare(a, b, WithGamma(0.99))
+	high, err := pairedComparison(a, b, WithGamma(0.99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,20 +195,21 @@ func TestCompareUnpaired(t *testing.T) {
 	for i := range b {
 		b[i] = r.NormFloat64()
 	}
-	c, err := CompareUnpaired(a, b)
+	res, err := Analyze(a, b, WithUnpaired())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := res.Comparison
 	if c.Conclusion != SignificantAndMeaningful {
 		t.Errorf("unpaired dominance: %s", c)
 	}
 	if c.N != 25 {
 		t.Errorf("N = %d, want min size 25", c.N)
 	}
-	if _, err := CompareUnpaired(a, b, WithGamma(0.3)); err == nil {
+	if _, err := Analyze(a, b, WithUnpaired(), WithGamma(0.3)); err == nil {
 		t.Error("bad γ accepted")
 	}
-	if _, err := CompareUnpaired([]float64{1}, b); err == nil {
+	if _, err := Analyze([]float64{1}, b, WithUnpaired()); err == nil {
 		t.Error("single measure accepted")
 	}
 }
@@ -241,17 +260,14 @@ func TestEndToEndWorkflow(t *testing.T) {
 		}
 	}
 	n := SampleSize(0.75)
-	a, b, err := CollectPaired(runner(0.85), runner(0.84), n, 11)
+	res, err := fixedN(runner(0.85), runner(0.84), n, 11).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != 29 {
-		t.Fatalf("collected %d pairs", len(a))
+	if res.Pairs != 29 {
+		t.Fatalf("collected %d pairs", res.Pairs)
 	}
-	c, err := Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := res.Comparison
 	t.Logf("workflow: %s", c)
 	if c.N != c.RecommendedN {
 		t.Error("sample size bookkeeping wrong")
