@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"varbench/internal/compare"
 	"varbench/internal/stats"
 	"varbench/internal/xrand"
 	"varbench/store"
@@ -66,8 +65,7 @@ type Progress struct {
 	// MaxRuns is the collection cap.
 	MaxRuns int
 	// Interim is the recommended test on the pairs so far; nil before
-	// MinRuns pairs exist, when early stopping is off, or while a resumed
-	// run replays batches a persisted analysis snapshot already covers.
+	// MinRuns pairs exist or when early stopping is off.
 	Interim *Comparison
 	// Quarantined counts the trials quarantined so far on this dataset
 	// (always 0 in fail-fast mode, where the first failure aborts the run).
@@ -238,6 +236,9 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each dataset is judged at the Bonferroni-adjusted γ of Section 6,
+	// which is γ itself for a single dataset.
+	gamma := stats.GammaBonferroni(cfg.Gamma, 0.05, len(datasets))
 	start := time.Now() //lint:allow nondeterm(Elapsed is wall-clock metadata, not part of the deterministic result)
 	res := &Result{
 		Name:  cfg.Name,
@@ -248,7 +249,7 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 	if len(datasets) == 1 {
 		// A single dataset — named or not — needs no multiple-comparison
 		// adjustment and reports through the Comparison convenience field.
-		dr, err := cfg.runDataset(ctx, datasets[0], cfg.Gamma)
+		dr, err := cfg.runDataset(ctx, datasets[0], gamma)
 		if err != nil {
 			return nil, err
 		}
@@ -265,13 +266,12 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 	}
 
 	// Multi-dataset: judge each dataset at the Bonferroni-adjusted
-	// threshold, then combine the evidence through combineEvidence.
+	// threshold gamma, then combine the evidence through combineEvidence.
 	// Datasets are collected concurrently — every dataset derives its
 	// seeds from its own (Seed, name)-keyed root, so scheduling cannot
 	// perturb any per-dataset result — and a single delivery goroutine
 	// serializes Progress callbacks, so user callbacks never run
 	// concurrently even though collection does.
-	adjGamma := stats.GammaBonferroni(cfg.Gamma, 0.05, len(datasets))
 	runCfg := *cfg
 	var progCh chan Progress
 	var progWG sync.WaitGroup
@@ -299,7 +299,7 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func(i int, ds Dataset) {
 			defer wg.Done()
-			dr, err := runCfg.runDataset(ctx, ds, adjGamma)
+			dr, err := runCfg.runDataset(ctx, ds, gamma)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -493,11 +493,6 @@ func pickRunner(tf TrialFunc, rf RunFunc, which string) (TrialFunc, error) {
 // cap, which matters when γ near 0.5 drives Noether's N — the MaxRuns
 // default — enormous while early stopping ends after a few batches.
 func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) (*DatasetResult, error) {
-	// gamma may be the Bonferroni-adjusted threshold rather than the
-	// user-validated Gamma field; re-validate at the point of consumption.
-	if gamma <= 0.5 || gamma >= 1 {
-		return nil, fmt.Errorf("varbench: adjusted γ = %v out of (0.5, 1)", gamma)
-	}
 	runA, err := pickRunner(ds.ATrial, ds.A, "A")
 	if err != nil {
 		return nil, err
@@ -519,25 +514,15 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	batchA := make([]float64, e.BatchSize)
 	batchB := make([]float64, e.BatchSize)
 	fails := make([]*TrialFailure, e.BatchSize)
-	// One incremental analysis state threads through every batch boundary:
-	// each batch extends the state's K weighted resamples by its new pairs
-	// (O(K × n_new)) instead of re-running the full bootstrap on all n
-	// collected pairs (O(K × n) per boundary — O(batches × K × n) total).
-	// With a store attached, the state snapshots to disk after every batch
-	// and a re-run resumes it: boundaries the snapshot already covers are
-	// hash-verified, skipped, and known non-stopping (the run that saved
-	// the snapshot passed them under the identical decision schedule, which
-	// the analysis fingerprint plus batch-alignment acceptance guarantee).
-	seed := xrand.New(e.datasetRoot(ds.Name)).Split("analysis/incremental").Uint64()
-	crit := compare.PAB{Gamma: gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	aligned := func(n int) bool {
-		return n > 0 && n <= e.MaxRuns && (n == e.MaxRuns || n%e.BatchSize == 0)
-	}
-	ana, err := newIncAnalysis(crit, seed, e.AnalysisParallelism, e.Store,
-		store.AnalysisKey(e.Seed, "dataset/"+ds.Name), e.analysisFingerprint(gamma, seed), aligned)
-	if err != nil {
-		return nil, err
-	}
+	// Every evaluation is Analyze's one-shot bootstrap over all pairs so
+	// far, seeded from the dataset root — Seed for the unnamed dataset, as
+	// Analyze does, and Split("dataset/"+name) otherwise, as
+	// AnalyzeDatasets does — so the reported comparison equals those entry
+	// points' on the reported scores. It is a pure function of (scores,
+	// seed): a resumed run, whose trials come from the store, re-derives
+	// every decision bit for bit.
+	p := e.protocol()
+	p.gamma, p.seed = gamma, e.datasetRoot(ds.Name)
 	recommended := stats.NoetherSampleSize(gamma, 0.05, 0.05)
 
 	var stop StopReason
@@ -554,12 +539,11 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 			return nil, err
 		}
 		// Compact the batch in trial-index order: surviving pairs extend
-		// outA/outB contiguously (the incremental analysis only ever sees
-		// successes), quarantined ones extend the failure list. MaxRuns
-		// caps attempted trial indices, not surviving pairs — a degraded
-		// run reports fewer pairs rather than drawing replacement trials,
-		// which would change every sibling's seed schedule.
-		prev := n
+		// outA/outB contiguously (the analysis only ever sees successes),
+		// quarantined ones extend the failure list. MaxRuns caps attempted
+		// trial indices, not surviving pairs — a degraded run reports fewer
+		// pairs rather than drawing replacement trials, which would change
+		// every sibling's seed schedule.
 		for i := 0; i < m; i++ {
 			if f := fails[i]; f != nil {
 				f.Dataset = ds.Name
@@ -570,17 +554,9 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 			outB = append(outB, batchB[i])
 		}
 		n = len(outA)
-		if err := ana.feed(outA, outB, prev, n); err != nil {
-			return nil, err
-		}
-		if err := ana.save(); err != nil {
-			return nil, err
-		}
 		lastEval = nil
-		// ana.n() > n means a restored snapshot already covers later batches
-		// of this same schedule; skip the boundary (it was non-stopping).
-		if e.EarlyStop == EarlyStopAuto && n >= e.MinRuns && ana.n() == n {
-			c, err := ana.comparison()
+		if e.EarlyStop == EarlyStopAuto && n >= e.MinRuns {
+			c, err := p.paired(outA, outB)
 			if err != nil {
 				return nil, err
 			}
@@ -612,13 +588,13 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 		return nil, fmt.Errorf("varbench: %sonly %d pair(s) survived collection, %d quarantined — cannot analyze: %w (first: %s)",
 			label, n, len(failures), ErrTrialFailed, failures[0].String())
 	}
-	// The state is deterministic in (scores, seed), so the evaluation that
+	// The evaluation is deterministic in (scores, seed), so the one that
 	// decided the stop doubles as the final result.
 	final := Comparison{}
 	if lastEval != nil {
 		final = *lastEval
 	} else {
-		c, err := ana.comparison()
+		c, err := p.paired(outA, outB)
 		if err != nil {
 			return nil, err
 		}

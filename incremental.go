@@ -11,13 +11,13 @@ import (
 )
 
 // This file is the root-package face of the incremental bootstrap engine
-// (internal/stats/incremental.go → internal/compare.AnalysisState): the
-// early-stop loop in experiment.go and the streaming Stream front end both
-// thread ONE resumable analysis state through all batch boundaries via the
-// incAnalysis helper below, instead of re-running the full K-resample
-// bootstrap at each — O(K × n) total resample-extension work instead of
-// O(batches × K × n). With a store attached the state snapshots to disk
-// after every batch, so a resumed run also resumes its analysis.
+// (internal/stats/incremental.go → internal/compare.AnalysisState), which
+// only Stream uses: a stream threads ONE resumable analysis state through
+// every Extend via the incAnalysis helper below, so each update costs
+// O(K × n_new) instead of a full K-resample bootstrap over all n pairs.
+// With a store attached Flush snapshots the state, so a resumed stream
+// also resumes its analysis. Experiment.Run does not come here: it re-runs
+// Analyze's one-shot bootstrap at each early-stop boundary.
 
 // analysisSnapshot is the JSON payload persisted per analysis state (see
 // store.AnalysisKey for the key/fingerprint scheme). State is the binary
@@ -76,10 +76,9 @@ type incAnalysis struct {
 }
 
 // newIncAnalysis builds the analysis state, resuming from a persisted
-// snapshot when st holds a valid one under (key, fp) whose pair count
-// acceptN admits (nil acceptN admits any). Restore failures of any kind
-// fall back to a fresh state — recomputing is always correct.
-func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend, key, fp string, acceptN func(int) bool) (*incAnalysis, error) {
+// snapshot when st holds a valid one under (key, fp). Restore failures of
+// any kind fall back to a fresh state — recomputing is always correct.
+func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend, key, fp string) (*incAnalysis, error) {
 	ia := &incAnalysis{
 		crit: crit, seed: seed, workers: workers,
 		hasher: newPairHasher(),
@@ -96,9 +95,6 @@ func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend
 	var snap analysisSnapshot
 	ok, err := st.GetJSON(key, fp, &snap)
 	if err != nil || !ok || snap.N <= 0 {
-		return ia, nil
-	}
-	if acceptN != nil && !acceptN(snap.N) {
 		return ia, nil
 	}
 	restored, err := crit.RestoreAnalysis(snap.State, workers)
@@ -209,46 +205,5 @@ func (ia *incAnalysis) comparison() (Comparison, error) {
 		return Comparison{}, err
 	}
 	meanA, meanB := ia.state.Means()
-	gamma := ia.crit.Gamma
-	return Comparison{
-		MeanA:        meanA,
-		MeanB:        meanB,
-		PAB:          res.PAB,
-		CILo:         res.CI.Lo,
-		CIHi:         res.CI.Hi,
-		Gamma:        gamma,
-		Conclusion:   conclusionOf(res.Decision),
-		RecommendedN: stats.NoetherSampleSize(gamma, 0.05, 0.05),
-		N:            ia.state.N(),
-	}, nil
-}
-
-// analysisFingerprint hashes everything that must match for a persisted
-// analysis snapshot to be resumable into this run: the collection spec
-// (whose scores feed the state), the kernel identity and resample count,
-// the analysis seed, and every knob that shapes the early-stop decision
-// sequence (γ, level, MinRuns, BatchSize, policy) — a restored state skips
-// re-evaluating boundaries it already passed, which is only sound when the
-// decision schedule is identical. MaxRuns is deliberately excluded: raising
-// a budget resumes the same analysis (the batch-alignment acceptance check
-// handles schedule compatibility).
-func (e *Experiment) analysisFingerprint(gamma float64, seed uint64) string {
-	return store.Fingerprint(
-		"varbench/analysis/v1",
-		e.specFingerprint(),
-		fmt.Sprintf("kernel=%s/k=%d/seed=%d/gamma=%v/level=%v/minruns=%d/batch=%d/earlystop=%d",
-			stats.AccPAB.ID(), e.Bootstrap, seed, gamma, e.Confidence, e.MinRuns, e.BatchSize, e.EarlyStop),
-	)
-}
-
-// growFloats extends s by n zero slots in place, amortizing capacity like
-// append — without the append(s, make([]float64, n)...) pattern's temporary
-// chunk allocation per batch.
-func growFloats(s []float64, n int) []float64 {
-	if free := cap(s) - len(s); free < n {
-		grown := make([]float64, len(s), max(2*cap(s), len(s)+n))
-		copy(grown, s)
-		s = grown
-	}
-	return s[: len(s)+n : cap(s)]
+	return newComparison(res, meanA, meanB, ia.state.N()), nil
 }

@@ -12,10 +12,10 @@ import (
 // resumable weighted-bootstrap accumulator of P(A>B) (stats.AccPAB) plus the
 // exact running sums behind the point estimate and the report means, and
 // extends in place as new paired measures arrive. Feeding pairs in one call
-// or many is bit-identical (the stats.Accum extension contract), so an
-// early-stop loop threads one state through all batch boundaries instead of
-// re-running the full analysis at each, and a snapshot taken at any point
-// resumes exactly.
+// or many is bit-identical (the stats.Accum extension contract), so a
+// long-lived stream of scores (the root package's Stream) threads one state
+// through every arrival instead of re-running the full analysis at each,
+// and a snapshot taken at any point resumes exactly.
 //
 // The incremental protocol is paired-only: the unpaired P(A>B) point
 // estimate is the Mann-Whitney U statistic, a rank statistic that is not

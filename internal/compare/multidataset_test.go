@@ -7,92 +7,55 @@ import (
 	"varbench/internal/xrand"
 )
 
-func datasetsWithEffect(r *xrand.Source, nDatasets, nPairs int, diff float64) []DatasetPairs {
-	out := make([]DatasetPairs, nDatasets)
+// datasetsWithEffect draws nDatasets independent paired samples in which A
+// beats B by diff under shared per-pair noise.
+func datasetsWithEffect(r *xrand.Source, nDatasets, nPairs int, diff float64) [][]stats.Pair {
+	out := make([][]stats.Pair, nDatasets)
 	for d := range out {
 		pairs := make([]stats.Pair, nPairs)
 		for i := range pairs {
 			base := r.NormFloat64()
 			pairs[i] = stats.Pair{A: base + diff, B: base + 0.3*r.NormFloat64()}
 		}
-		out[d] = DatasetPairs{Name: string(rune('a' + d)), Pairs: pairs}
+		out[d] = pairs
 	}
 	return out
 }
 
-// allMeaningful is the Dror-style all-datasets acceptance over outcomes.
-func allMeaningful(outcomes []DatasetOutcome) bool {
-	for _, d := range outcomes {
-		if d.Result.Decision != SignificantAndMeaningful {
-			return false
+// acrossDatasets evaluates every dataset with the recommended test at the
+// Bonferroni-adjusted γ for m = len(datasets) comparisons — the per-dataset
+// building block of the multi-dataset protocol — and reports whether every
+// dataset is significant and meaningful (the Dror-style acceptance rule).
+func acrossDatasets(t *testing.T, datasets [][]stats.Pair, gamma float64, r *xrand.Source) ([]Result, bool) {
+	t.Helper()
+	c := PAB{Gamma: stats.GammaBonferroni(gamma, 0.05, len(datasets))}
+	res := make([]Result, len(datasets))
+	all := true
+	for d, pairs := range datasets {
+		var err error
+		if res[d], err = c.Evaluate(pairs, r.Uint64(), 2); err != nil {
+			t.Fatal(err)
 		}
+		all = all && res[d].Decision == SignificantAndMeaningful
 	}
-	return true
+	return res, all
 }
 
 func TestAcrossDatasetsAcceptsUniformWinner(t *testing.T) {
 	r := xrand.New(1)
-	ds := datasetsWithEffect(r, 4, 40, 2.0)
-	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !allMeaningful(res) {
+	res, all := acrossDatasets(t, datasetsWithEffect(r, 4, 40, 2.0), 0.75, r)
+	if !all {
 		t.Errorf("uniform dominance should be accepted: %+v", res)
 	}
 	// Adjusted γ must be stricter than the nominal one.
-	if res[0].AdjustedGamma <= 0.75 {
-		t.Errorf("adjusted γ = %v, want > 0.75", res[0].AdjustedGamma)
-	}
-}
-
-func TestAcrossDatasetsRejectsWhenOneDatasetFails(t *testing.T) {
-	r := xrand.New(2)
-	ds := datasetsWithEffect(r, 3, 40, 2.0)
-	// Break the third dataset: no effect at all.
-	for i := range ds[2].Pairs {
-		base := r.NormFloat64()
-		ds[2].Pairs[i] = stats.Pair{A: base, B: base + 0.3*r.NormFloat64()}
-	}
-	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allMeaningful(res) {
-		t.Error("one null dataset must block all-datasets acceptance")
-	}
-	if d := res[2]; d.Result.Decision == SignificantAndMeaningful {
-		t.Errorf("null dataset judged meaningful: %+v", d)
+	if res[0].Gamma <= 0.75 {
+		t.Errorf("adjusted γ = %v, want > 0.75", res[0].Gamma)
 	}
 }
 
 func TestAcrossDatasetsNullControlled(t *testing.T) {
 	r := xrand.New(3)
-	ds := datasetsWithEffect(r, 4, 30, 0)
-	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allMeaningful(res) {
+	if _, all := acrossDatasets(t, datasetsWithEffect(r, 4, 30, 0), 0.75, r); all {
 		t.Error("null effect accepted across datasets")
-	}
-}
-
-func TestAcrossDatasetsSmallCounts(t *testing.T) {
-	r := xrand.New(4)
-	// Two datasets: one outcome each, in order, at the m=2 Bonferroni γ.
-	ds := datasetsWithEffect(r, 2, 20, 1.5)
-	res, err := AcrossDatasets(ds, PAB{Gamma: 0.75}, 0.05, r.Uint64(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[0].Dataset != "a" || res[1].Dataset != "b" {
-		t.Fatalf("outcomes %+v, want datasets a, b in order", res)
-	}
-	if want := stats.GammaBonferroni(0.75, 0.05, 2); res[0].AdjustedGamma != want || res[1].AdjustedGamma != want {
-		t.Errorf("adjusted γ = %v, %v, want %v", res[0].AdjustedGamma, res[1].AdjustedGamma, want)
-	}
-	if _, err := AcrossDatasets(nil, PAB{}, 0.05, 1, 1); err == nil {
-		t.Error("empty dataset list should error")
 	}
 }

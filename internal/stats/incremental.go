@@ -17,14 +17,18 @@ import (
 // The one-shot percentile bootstrap (bootstrap_sharded.go) draws, for each
 // of K resamples, n indices uniform in [0, n) — the index range itself
 // depends on the sample size, so a resample computed at n_old cannot be
-// extended when new scores arrive: an early-stop loop would rebuild all K
-// resamples at every batch boundary, O(batches × K × n) total work. This
-// file implements the *weighted* (Bayesian) percentile bootstrap instead
-// (Rubin 1981): resample i assigns every pair j an independent Exp(1)
-// weight w_ij and evaluates the weighted win fraction. A new pair only
-// *adds* terms to each resample's running sums, so the whole analysis is
-// resumable: per-batch cost is O(K × n_new) and the state is two K-length
-// columns that serialize to a snapshot.
+// extended when new scores arrive: a consumer of an open-ended score stream
+// would rebuild all K resamples on every arrival, O(K × n) per update.
+// This file implements the *weighted* (Bayesian) percentile bootstrap
+// instead (Rubin 1981): resample i assigns every pair j an independent
+// Exp(1) weight w_ij and evaluates the weighted win fraction. A new pair
+// only *adds* terms to each resample's running sums, so the whole analysis
+// is resumable: per-update cost is O(K × n_new) and the state is two
+// K-length columns that serialize to a snapshot. Its one caller is the
+// root package's Stream. A bounded early-stop loop (Experiment.Run) re-runs
+// the one-shot engine at each batch boundary instead: over its few
+// boundaries that K × Σn work measured cheaper than this engine's one
+// Exp(1) draw per (pair, resample).
 //
 // Determinism contract (the incremental analogue of the kernel contract in
 // kernel.go):

@@ -13,6 +13,7 @@ import (
 	"varbench/internal/jsonx"
 	"varbench/internal/report"
 	"varbench/internal/stats"
+	"varbench/internal/xrand"
 )
 
 // The report types marshal through jsonx so that NaN and ±Inf float fields
@@ -362,6 +363,22 @@ func conclusionOf(d compare.Decision) Conclusion {
 	}
 }
 
+// newComparison shapes one evaluation of the recommended test as the public
+// Comparison; the means and n describe the scores it was run on.
+func newComparison(res compare.Result, meanA, meanB float64, n int) Comparison {
+	return Comparison{
+		MeanA:        meanA,
+		MeanB:        meanB,
+		PAB:          res.PAB,
+		CILo:         res.CI.Lo,
+		CIHi:         res.CI.Hi,
+		Gamma:        res.Gamma,
+		Conclusion:   conclusionOf(res.Decision),
+		RecommendedN: stats.NoetherSampleSize(res.Gamma, 0.05, 0.05),
+		N:            n,
+	}
+}
+
 // paired runs the complete Appendix C protocol on paired scores.
 func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
 	pairs, err := compare.Pairs(scoresA, scoresB)
@@ -373,17 +390,7 @@ func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{
-		MeanA:        stats.Mean(scoresA),
-		MeanB:        stats.Mean(scoresB),
-		PAB:          res.PAB,
-		CILo:         res.CI.Lo,
-		CIHi:         res.CI.Hi,
-		Gamma:        p.gamma,
-		Conclusion:   conclusionOf(res.Decision),
-		RecommendedN: stats.NoetherSampleSize(p.gamma, 0.05, 0.05),
-		N:            len(pairs),
-	}, nil
+	return newComparison(res, stats.Mean(scoresA), stats.Mean(scoresB), len(pairs)), nil
 }
 
 // unpaired runs the Mann-Whitney variant for scores without shared seeds.
@@ -393,17 +400,7 @@ func (p protocol) unpaired(scoresA, scoresB []float64) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{
-		MeanA:        stats.Mean(scoresA),
-		MeanB:        stats.Mean(scoresB),
-		PAB:          res.PAB,
-		CILo:         res.CI.Lo,
-		CIHi:         res.CI.Hi,
-		Gamma:        p.gamma,
-		Conclusion:   conclusionOf(res.Decision),
-		RecommendedN: stats.NoetherSampleSize(p.gamma, 0.05, 0.05),
-		N:            min(len(scoresA), len(scoresB)),
-	}, nil
+	return newComparison(res, stats.Mean(scoresA), stats.Mean(scoresB), min(len(scoresA), len(scoresB))), nil
 }
 
 func (e *Experiment) protocol() protocol {
@@ -478,12 +475,23 @@ type DatasetScores struct {
 // AnalyzeDatasets applies the recommended test per dataset with a
 // Bonferroni-adjusted meaningfulness threshold and combines the evidence
 // across datasets (Section 6), wrapping everything in a renderable Result.
+// Each dataset is judged exactly as Experiment.Run judges a named dataset:
+// at the adjusted γ, with bootstrap randomness from (Seed, dataset name).
 func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) {
 	e, err := applyOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	in := make([]compare.DatasetPairs, 0, len(datasets))
+	if len(datasets) == 0 {
+		return nil, fmt.Errorf("varbench: no datasets")
+	}
+	out := &Result{
+		Name:  e.Name,
+		Gamma: e.Gamma,
+		Seed:  e.Seed,
+	}
+	p := e.protocol()
+	p.gamma = stats.GammaBonferroni(e.Gamma, 0.05, len(datasets))
 	seen := make(map[string]bool, len(datasets))
 	for i, ds := range datasets {
 		// Names key the per-dataset bootstrap streams (and the report), so
@@ -500,39 +508,16 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		if err := validScores(ds.ScoresA, ds.ScoresB, ds.Name); err != nil {
 			return nil, err
 		}
-		pairs, err := compare.Pairs(ds.ScoresA, ds.ScoresB)
+		p.seed = xrand.New(e.Seed).Split("dataset/" + ds.Name).Uint64()
+		c, err := p.paired(ds.ScoresA, ds.ScoresB)
 		if err != nil {
 			return nil, fmt.Errorf("varbench: dataset %s: %w", ds.Name, err)
 		}
-		in = append(in, compare.DatasetPairs{Name: ds.Name, Pairs: pairs})
-	}
-	crit := compare.PAB{Gamma: e.Gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	outcomes, err := compare.AcrossDatasets(in, crit, 0.05, e.Seed, e.AnalysisParallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Name:  e.Name,
-		Gamma: e.Gamma,
-		Seed:  e.Seed,
-	}
-	for i, d := range outcomes {
-		c := Comparison{
-			MeanA:        stats.Mean(datasets[i].ScoresA),
-			MeanB:        stats.Mean(datasets[i].ScoresB),
-			PAB:          d.Result.PAB,
-			CILo:         d.Result.CI.Lo,
-			CIHi:         d.Result.CI.Hi,
-			Gamma:        d.AdjustedGamma,
-			Conclusion:   conclusionOf(d.Result.Decision),
-			RecommendedN: stats.NoetherSampleSize(d.AdjustedGamma, 0.05, 0.05),
-			N:            len(datasets[i].ScoresA),
-		}
 		out.Datasets = append(out.Datasets, DatasetResult{
-			Name:       d.Dataset,
+			Name:       ds.Name,
 			Comparison: c,
-			ScoresA:    datasets[i].ScoresA,
-			ScoresB:    datasets[i].ScoresB,
+			ScoresA:    ds.ScoresA,
+			ScoresB:    ds.ScoresB,
 			Pairs:      c.N,
 		})
 		out.Pairs += c.N

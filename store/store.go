@@ -197,7 +197,7 @@ func (s *Store) Len() int {
 
 // CountPrefix returns the number of distinct (key, fingerprint) cells whose
 // key starts with prefix — e.g. "trial/" for trial scores or "analysis/"
-// for persisted analysis snapshots, the two key families varbench writes.
+// for persisted Stream snapshots.
 func (s *Store) CountPrefix(prefix string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,11 +352,12 @@ func FailureKey(seed uint64, dataset string, index int, side string) string {
 	return fmt.Sprintf("failure/seed=%d/dataset=%s/run=%d/%s", seed, dataset, index, side)
 }
 
-// AnalysisKey names one resumable analysis identity: the root seed of the
-// bootstrap randomness plus a scope label (a dataset name for experiment
-// runs, a caller-chosen stream ID for streaming analyses). Analysis
-// snapshots ride the same append-only log as trials, as JSON payload
-// records (PutJSON) of the form
+// AnalysisKey names one resumable Stream analysis: the root seed of the
+// bootstrap randomness plus a scope label ("stream/" and the caller-chosen
+// pipeline ID). Experiment runs persist trials only and write no analysis
+// records; "analysis/…/scope=dataset/…" records that older releases wrote
+// for them are never read. Stream snapshots ride the same append-only log
+// as trials, as JSON payload records (PutJSON) of the form
 //
 //	{"n": <pairs consumed>, "hash": "<prefix hash, hex>", "state": "<base64>"}
 //
@@ -364,12 +365,12 @@ func FailureKey(seed uint64, dataset string, index int, side string) string {
 // internal/stats/incremental.go (running per-resample sums; float bit
 // patterns preserved exactly) wrapped in the analysis header of
 // internal/compare. The fingerprint covers the kernel ID/version, the
-// resample count K, the analysis seed and the spec fingerprint of the
-// scores feeding it, so a snapshot is invalidated — recomputed, never
-// silently reused — whenever K, the kernel, the seed derivation or the
-// collection spec changes. Later snapshots for the same key supersede
-// earlier ones via the last-record-wins index, and a torn final snapshot
-// line is repaired by the same Open machinery that repairs torn trials.
+// resample count K, the analysis seed and the stream's pipeline ID, so a
+// snapshot is invalidated — recomputed, never silently reused — whenever
+// K, the kernel, the seed derivation or the stream identity changes. Later
+// snapshots for the same key supersede earlier ones via the
+// last-record-wins index, and a torn final snapshot line is repaired by
+// the same Open machinery that repairs torn trials.
 func AnalysisKey(seed uint64, scope string) string {
 	return fmt.Sprintf("analysis/seed=%d/scope=%s", seed, scope)
 }

@@ -133,10 +133,21 @@ func TestVarianceStudyStoreResume(t *testing.T) {
 
 // TestExperimentRunStoreResume: the paired-collection counterpart — an
 // interrupted Experiment.Run resumes from the store to a byte-identical
-// report, recomputing only missing (trial, side) cells.
+// report, recomputing only missing (trial, side) cells. Under
+// EarlyStopAuto the resumed run re-derives every stop decision from the
+// stored scores and stops where the uninterrupted run did; the store holds
+// trials only, never analysis state.
 func TestExperimentRunStoreResume(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		par  int
+		stop EarlyStopPolicy
+	}{
+		{"parallelism-1", 1, EarlyStopOff},
+		{"parallelism-4", 4, EarlyStopOff},
+		{"early-stop-auto", 4, EarlyStopAuto},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			const maxRuns = 12
 			exp := func(a, b TrialFunc, st store.Backend) Experiment {
 				return Experiment{
@@ -145,9 +156,9 @@ func TestExperimentRunStoreResume(t *testing.T) {
 					Seed:        5,
 					MaxRuns:     maxRuns,
 					BatchSize:   4,
-					EarlyStop:   EarlyStopOff,
+					EarlyStop:   tc.stop,
 					Bootstrap:   50,
-					Parallelism: par,
+					Parallelism: tc.par,
 					Store:       st,
 					PipelineID:  "exp-resume-test",
 				}
@@ -168,8 +179,11 @@ func TestExperimentRunStoreResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			golden := render(res)
-			if goldenCalls.Load() != 2*maxRuns {
-				t.Fatalf("golden run made %d calls, want %d", goldenCalls.Load(), 2*maxRuns)
+			if want := int64(2 * res.Pairs); goldenCalls.Load() != want {
+				t.Fatalf("golden run made %d calls, want %d", goldenCalls.Load(), want)
+			}
+			if early := tc.stop == EarlyStopAuto; res.EarlyStopped != early {
+				t.Fatalf("golden run early-stopped=%v (%s), want %v", res.EarlyStopped, res.StopReason, early)
 			}
 
 			dir := t.TempDir()
@@ -192,12 +206,9 @@ func TestExperimentRunStoreResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st2.Close()
-			// Count trial cells only: the interrupted run also persists
-			// analysis snapshots under "analysis/" keys, which are not
-			// pipeline calls.
 			recorded := st2.CountPrefix("trial/")
-			if recorded < 7 || recorded >= 2*maxRuns {
-				t.Fatalf("interrupted run recorded %d cells, want in [7, %d)", recorded, 2*maxRuns)
+			if recorded < 7 || int64(recorded) >= goldenCalls.Load() {
+				t.Fatalf("interrupted run recorded %d cells, want in [7, %d)", recorded, goldenCalls.Load())
 			}
 			var resumeCalls atomic.Int64
 			rA := countingPipeline(&resumeCalls, 0.3, 0, nil)
@@ -209,8 +220,14 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			if got := render(res2); got != golden {
 				t.Errorf("resumed report differs from golden:\n%s\n--- golden ---\n%s", got, golden)
 			}
-			if got, want := resumeCalls.Load(), int64(2*maxRuns-recorded); got != want {
+			if res2.StopReason != res.StopReason {
+				t.Errorf("resumed run stopped on %q, golden on %q", res2.StopReason, res.StopReason)
+			}
+			if got, want := resumeCalls.Load(), goldenCalls.Load()-int64(recorded); got != want {
 				t.Errorf("resumed run made %d calls, want %d", got, want)
+			}
+			if n := st2.CountPrefix("analysis/"); n != 0 {
+				t.Errorf("Experiment.Run wrote %d analysis records, want 0", n)
 			}
 		})
 	}

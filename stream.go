@@ -54,16 +54,15 @@ func NewStream(opts ...Option) (*Stream, error) {
 	crit := compare.PAB{Gamma: cfg.Gamma, Level: cfg.Confidence, Bootstrap: cfg.Bootstrap}
 	seed := xrand.New(cfg.Seed).Split("analysis/stream").Uint64()
 	// The fingerprint pins state validity only (kernel algebra/version, K,
-	// seed derivation, stream identity): unlike experiment snapshots, no
-	// early-stop decision schedule is replayed, so γ/level/batching stay
-	// out and changing them resumes the same state.
+	// seed derivation, stream identity): no decision schedule is replayed,
+	// so γ and the level stay out and changing them resumes the same state.
 	fp := store.Fingerprint(
 		"varbench/stream/v1",
 		"pipeline="+cfg.PipelineID,
 		fmt.Sprintf("kernel=%s/k=%d/seed=%d", stats.AccPAB.ID(), cfg.Bootstrap, seed),
 	)
 	ana, err := newIncAnalysis(crit, seed, cfg.AnalysisParallelism, cfg.Store,
-		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp, nil)
+		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp)
 	if err != nil {
 		return nil, err
 	}
