@@ -11,17 +11,19 @@ import (
 )
 
 // This file is the root-package face of the incremental bootstrap engine
-// (internal/stats/incremental.go → internal/compare.AnalysisState), which
-// only Stream uses: a stream threads ONE resumable analysis state through
-// every Extend via the incAnalysis helper below, so each update costs
-// O(K × n_new) instead of a full K-resample bootstrap over all n pairs.
-// With a store attached Flush snapshots the state, so a resumed stream
-// also resumes its analysis. Experiment.Run does not come here: it re-runs
-// Analyze's one-shot bootstrap at each early-stop boundary.
+// (stats.Accum, internal/stats/incremental.go), which only Stream uses: a
+// stream threads ONE resumable accumulator through every Extend via the
+// incAnalysis helper below, so each update costs O(K × n_new) instead of a
+// full K-resample bootstrap over all n pairs. The accumulator owns the
+// numeric state and its snapshot bytes; incAnalysis adds prefix-hash
+// verification, the store's JSON envelope and replay. With a store attached
+// Flush snapshots the state, so a resumed stream also resumes its
+// analysis. Experiment.Run does not come here: it re-runs Analyze's
+// one-shot bootstrap at each early-stop boundary.
 
 // analysisSnapshot is the JSON payload persisted per analysis state (see
-// store.AnalysisKey for the key/fingerprint scheme). State is the binary
-// accumulator blob (bit-exact float round-trip; marshals as base64), Hash
+// store.AnalysisKey for the key/fingerprint scheme). State is the
+// stats.Accum snapshot (bit-exact float round-trip; marshals as base64), Hash
 // the hex prefix hash of the N score pairs the state has consumed — no
 // float-typed JSON fields, so NaN-safety is moot by construction.
 type analysisSnapshot struct {
@@ -54,16 +56,15 @@ func (p *pairHasher) add(a, b float64) {
 	p.n++
 }
 
-// incAnalysis wraps a compare.AnalysisState with prefix verification and
-// store persistence. Feeding is idempotent over a restored prefix: pairs
-// the restored state already consumed are hash-verified and skipped, pairs
-// beyond it extend the state. All methods must be called from one
-// goroutine (extensions parallelize internally).
+// incAnalysis wraps a stats.Accum with prefix verification and store
+// persistence. Feeding is idempotent over a restored prefix: pairs the
+// restored accumulator already consumed are hash-verified and skipped,
+// pairs beyond it extend the accumulator. All methods must be called from
+// one goroutine (extensions parallelize internally).
 type incAnalysis struct {
 	crit    compare.PAB
-	seed    uint64
 	workers int
-	state   *compare.AnalysisState
+	acc     *stats.Accum
 
 	hasher       pairHasher
 	restoredN    int // pairs covered by the restored snapshot (0 = fresh)
@@ -71,59 +72,54 @@ type incAnalysis struct {
 
 	st      store.Backend // nil: no persistence
 	key, fp string
-
-	pairBuf []stats.Pair // reusable batch staging
 }
 
-// newIncAnalysis builds the analysis state, resuming from a persisted
-// snapshot when st holds a valid one under (key, fp). Restore failures of
-// any kind fall back to a fresh state — recomputing is always correct.
-func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend, key, fp string) (*incAnalysis, error) {
+// newIncAnalysis analyzes with acc, a fresh accumulator, resuming from a
+// persisted snapshot when st holds a valid one under (key, fp). Restore
+// failures of any kind fall back to the fresh state — recomputing is
+// always correct.
+func newIncAnalysis(crit compare.PAB, acc *stats.Accum, workers int, st store.Backend, key, fp string) *incAnalysis {
 	ia := &incAnalysis{
-		crit: crit, seed: seed, workers: workers,
+		crit: crit, workers: workers, acc: acc,
 		hasher: newPairHasher(),
 		st:     st, key: key, fp: fp,
 	}
-	state, err := crit.NewAnalysis(seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	ia.state = state
 	if st == nil {
-		return ia, nil
+		return ia
 	}
 	var snap analysisSnapshot
 	ok, err := st.GetJSON(key, fp, &snap)
 	if err != nil || !ok || snap.N <= 0 {
-		return ia, nil
-	}
-	restored, err := crit.RestoreAnalysis(snap.State, workers)
-	if err != nil || restored.N() != snap.N || restored.Seed() != seed {
-		return ia, nil
+		return ia
 	}
 	h, err := strconv.ParseUint(snap.Hash, 16, 64)
 	if err != nil {
-		return ia, nil
+		return ia
 	}
-	ia.state = restored
+	restored, err := stats.NewAccum(acc.K(), acc.Seed())
+	if err != nil || restored.UnmarshalBinary(snap.State) != nil || restored.N() != snap.N {
+		return ia
+	}
+	ia.acc = restored
 	ia.restoredN = snap.N
 	ia.restoredHash = h
-	return ia, nil
+	return ia
 }
 
-// n returns how many pairs the state currently covers — ahead of the pairs
-// fed so far while a restored snapshot is being replayed.
-func (ia *incAnalysis) n() int { return ia.state.N() }
+// n returns how many pairs the accumulator currently covers — ahead of the
+// pairs fed so far while a restored snapshot is being replayed.
+func (ia *incAnalysis) n() int { return ia.acc.N() }
 
 // fed returns how many pairs have been fed (replayed or extended).
 func (ia *incAnalysis) fed() int { return ia.hasher.n }
 
 // feed consumes the newly collected pairs scoresA[lo:hi]/scoresB[lo:hi].
 // Calls must be contiguous (each lo equals the previous hi). Pairs the
-// restored state already covers are verified against the snapshot's prefix
-// hash and skipped; on hash mismatch the restored state is discarded and
-// rebuilt from the scores collected so far. Pairs beyond the restored
-// prefix extend the state — bit-identically to a from-scratch analysis.
+// restored accumulator already covers are verified against the snapshot's
+// prefix hash and skipped; on hash mismatch the restored state is discarded
+// and rebuilt from the scores collected so far. Pairs beyond the restored
+// prefix extend the accumulator — bit-identically to a from-scratch
+// analysis.
 func (ia *incAnalysis) feed(scoresA, scoresB []float64, lo, hi int) error {
 	if ia.hasher.n != lo {
 		return fmt.Errorf("varbench: analysis fed pairs [%d:%d), want contiguous from %d", lo, hi, ia.hasher.n)
@@ -138,39 +134,27 @@ func (ia *incAnalysis) feed(scoresA, scoresB []float64, lo, hi int) error {
 			}
 		}
 	}
-	if start := ia.state.N(); start < hi {
+	if start := ia.acc.N(); start < hi {
 		if start < lo {
 			return fmt.Errorf("varbench: analysis state at %d pairs behind batch start %d", start, lo)
 		}
-		ia.state.Extend(ia.pairs(scoresA[start:hi], scoresB[start:hi]))
+		ia.acc.Extend(scoresA[start:hi], scoresB[start:hi], ia.workers)
 	}
 	return nil
 }
 
 // rebuild discards the current (restored) state and recomputes a fresh one
 // from the given score history — correct by construction, and
-// bit-identical to having extended a fresh state all along.
+// bit-identical to having extended a fresh accumulator all along.
 func (ia *incAnalysis) rebuild(scoresA, scoresB []float64) error {
-	fresh, err := ia.crit.NewAnalysis(ia.seed, ia.workers)
+	fresh, err := stats.NewAccum(ia.acc.K(), ia.acc.Seed())
 	if err != nil {
 		return err
 	}
-	fresh.Extend(ia.pairs(scoresA, scoresB))
-	ia.state = fresh
+	fresh.Extend(scoresA, scoresB, ia.workers)
+	ia.acc = fresh
 	ia.restoredN = 0
 	return nil
-}
-
-// pairs zips equal-length score slices into the reusable staging buffer.
-func (ia *incAnalysis) pairs(a, b []float64) []stats.Pair {
-	if cap(ia.pairBuf) < len(a) {
-		ia.pairBuf = make([]stats.Pair, len(a))
-	}
-	buf := ia.pairBuf[:len(a)]
-	for i := range a {
-		buf[i] = stats.Pair{A: a[i], B: b[i]}
-	}
-	return buf
 }
 
 // save persists the current state snapshot (no-op without a store). Safe to
@@ -179,31 +163,33 @@ func (ia *incAnalysis) save() error {
 	if ia.st == nil {
 		return nil
 	}
-	if ia.state.N() > ia.hasher.n {
+	if ia.acc.N() > ia.hasher.n {
 		// Mid-replay of a restored snapshot: the state covers pairs whose
 		// hash we cannot attest yet, and the store already holds this very
 		// snapshot — rewriting it adds nothing.
 		return nil
 	}
-	blob, err := ia.state.Snapshot()
+	blob, err := ia.acc.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	return ia.st.PutJSON(ia.key, ia.fp, analysisSnapshot{
-		N:     ia.state.N(),
+		N:     ia.acc.N(),
 		Hash:  strconv.FormatUint(ia.hasher.h, 16),
 		State: blob,
 	})
 }
 
-// comparison evaluates the three-zone decision on the state and shapes it
-// as the public Comparison. Callers must only evaluate when the state
-// covers exactly the pairs they mean to report on (state.N() == fed).
+// comparison evaluates the three-zone decision on the accumulator and
+// shapes it as the public Comparison. Like the one-shot path it needs at
+// least two pairs. Callers must only evaluate when the accumulator covers
+// exactly the pairs they mean to report on (n() == fed()).
 func (ia *incAnalysis) comparison() (Comparison, error) {
-	res, err := ia.state.Evaluate()
-	if err != nil {
-		return Comparison{}, err
+	n := ia.acc.N()
+	if n < 2 {
+		return Comparison{}, fmt.Errorf("compare: need ≥ 2 pairs, got %d", n)
 	}
-	meanA, meanB := ia.state.Means()
-	return newComparison(res, meanA, meanB, ia.state.N()), nil
+	res := ia.crit.Decide(ia.acc.Point(), ia.acc.CI(ia.crit.Level))
+	meanA, meanB := ia.acc.Means()
+	return newComparison(res, meanA, meanB, n), nil
 }

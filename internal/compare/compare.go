@@ -192,8 +192,11 @@ func (c PAB) validate() error {
 	return nil
 }
 
-// decide applies the three-zone decision rule of Appendix C.6.
-func (c PAB) decide(point float64, ci stats.CI) Result {
+// Decide applies the three-zone decision rule of Appendix C.6 to a point
+// estimate of P(A>B) and its confidence interval. Evaluate and
+// EvaluateUnpaired end here, as does the incremental analysis of a score
+// stream (a stats.Accum), which supplies its own point and interval.
+func (c PAB) Decide(point float64, ci stats.CI) Result {
 	res := Result{PAB: point, CI: ci, Gamma: c.gamma()}
 	switch {
 	case ci.Lo <= 0.5:
@@ -220,7 +223,7 @@ func (c PAB) Evaluate(pairs []stats.Pair, seed uint64, workers int) (Result, err
 	}
 	point := pabKernel.Stat(pairs)
 	ci := stats.PairedPercentileBootstrapKernel(pairs, pabKernel, c.boots(), c.level(), seed, workers)
-	return c.decide(point, ci), nil
+	return c.Decide(point, ci), nil
 }
 
 // Detects implements Criterion: one serial Evaluate seeded by a draw from r.
@@ -248,7 +251,7 @@ func (c PAB) EvaluateUnpaired(a, b []float64, seed uint64, workers int) (Result,
 	}
 	point := stats.MannWhitney(a, b, stats.TwoTailed).PAB
 	ci := stats.TwoSampleBootstrapKernel(a, b, stats.TwoSampleStatFunc(mwPAB), c.boots(), c.level(), seed, workers)
-	return c.decide(point, ci), nil
+	return c.Decide(point, ci), nil
 }
 
 // mwPAB is the Mann-Whitney U statistic scaled to [0,1]: the unpaired

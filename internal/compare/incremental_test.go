@@ -11,6 +11,9 @@ import (
 	"varbench/internal/xrand"
 )
 
+// The incremental analysis of a score stream is a stats.Accum read through
+// PAB.Decide; these tests pin that pairing against the one-shot criterion.
+
 func testPairs(r *xrand.Source, n int) []stats.Pair {
 	p := make([]stats.Pair, n)
 	for i := range p {
@@ -25,6 +28,41 @@ func testPairs(r *xrand.Source, n int) []stats.Pair {
 	return p
 }
 
+// extend feeds pairs to ac through its two-slice Extend.
+func extend(ac *stats.Accum, pairs []stats.Pair, workers int) {
+	a := make([]float64, len(pairs))
+	b := make([]float64, len(pairs))
+	for i, p := range pairs {
+		a[i], b[i] = p.A, p.B
+	}
+	ac.Extend(a, b, workers)
+}
+
+// newAccum starts the incremental analysis crit describes.
+func newAccum(t *testing.T, crit PAB, seed uint64) *stats.Accum {
+	t.Helper()
+	ac, err := stats.NewAccum(crit.boots(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ac
+}
+
+// decide runs crit's three-zone decision on the pairs ac has consumed.
+func decide(crit PAB, ac *stats.Accum) Result {
+	return crit.Decide(ac.Point(), ac.CI(crit.level()))
+}
+
+// snapshot serializes ac, failing the test on error.
+func snapshot(t *testing.T, ac *stats.Accum) []byte {
+	t.Helper()
+	b, err := ac.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestAnalysisStateBitIdentical: feeding pairs batch by batch — at any
 // worker count — matches the single-shot analysis of the full sequence
 // bit for bit, including the serialized accumulator state.
@@ -36,41 +74,21 @@ func TestAnalysisStateBitIdentical(t *testing.T) {
 		seed := r.Uint64()
 		pairs := testPairs(r, n)
 
-		ref, err := crit.NewAnalysis(seed, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Extend(pairs)
-		refRes, err := ref.Evaluate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refSnap, err := ref.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newAccum(t, crit, seed)
+		extend(ref, pairs, 1)
+		refRes := decide(crit, ref)
+		refSnap := snapshot(t, ref)
 
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			for _, batch := range []int{1, 3, n} {
-				st, err := crit.NewAnalysis(seed, w)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ac := newAccum(t, crit, seed)
 				for lo := 0; lo < n; lo += batch {
-					st.Extend(pairs[lo:min(lo+batch, n)])
+					extend(ac, pairs[lo:min(lo+batch, n)], w)
 				}
-				res, err := st.Evaluate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res != refRes {
+				if res := decide(crit, ac); res != refRes {
 					t.Fatalf("workers=%d batch=%d: %+v != %+v", w, batch, res, refRes)
 				}
-				snap, err := st.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(snap, refSnap) {
+				if !bytes.Equal(snapshot(t, ac), refSnap) {
 					t.Fatalf("workers=%d batch=%d: snapshot differs", w, batch)
 				}
 			}
@@ -86,12 +104,9 @@ func TestAnalysisStatePointMatchesKernel(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + r.Intn(40)
 		pairs := testPairs(r, n)
-		st, err := PAB{}.NewAnalysis(1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Extend(pairs)
-		if got, want := st.Point(), pabKernel.Stat(pairs); math.Float64bits(got) != math.Float64bits(want) {
+		ac := newAccum(t, PAB{}, 1)
+		extend(ac, pairs, 1)
+		if got, want := ac.Point(), pabKernel.Stat(pairs); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Point() = %v, PABKernel.Stat = %v", got, want)
 		}
 		a := make([]float64, n)
@@ -99,7 +114,7 @@ func TestAnalysisStatePointMatchesKernel(t *testing.T) {
 		for i, p := range pairs {
 			a[i], b[i] = p.A, p.B
 		}
-		ma, mb := st.Means()
+		ma, mb := ac.Means()
 		if math.Float64bits(ma) != math.Float64bits(stats.Mean(a)) ||
 			math.Float64bits(mb) != math.Float64bits(stats.Mean(b)) {
 			t.Fatalf("Means() = (%v, %v), want (%v, %v)", ma, mb, stats.Mean(a), stats.Mean(b))
@@ -115,32 +130,30 @@ func TestAnalysisStateSnapshotResume(t *testing.T) {
 	n := 24
 	pairs := testPairs(r, n)
 
-	ref, _ := crit.NewAnalysis(9, 1)
-	ref.Extend(pairs)
-	refSnap, _ := ref.Snapshot()
+	ref := newAccum(t, crit, 9)
+	extend(ref, pairs, 1)
+	refSnap := snapshot(t, ref)
 
-	half, _ := crit.NewAnalysis(9, 1)
-	half.Extend(pairs[:10])
-	blob, err := half.Snapshot()
-	if err != nil {
+	half := newAccum(t, crit, 9)
+	extend(half, pairs[:10], 1)
+	restored := newAccum(t, crit, 9)
+	if err := restored.UnmarshalBinary(snapshot(t, half)); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := crit.RestoreAnalysis(blob, 2)
-	if err != nil {
-		t.Fatal(err)
+	if restored.N() != 10 || restored.Seed() != 9 || restored.K() != 500 {
+		t.Fatalf("restored identity: n=%d seed=%d k=%d", restored.N(), restored.Seed(), restored.K())
 	}
-	if restored.N() != 10 || restored.Seed() != 9 || restored.Bootstrap() != 500 {
-		t.Fatalf("restored identity: n=%d seed=%d k=%d", restored.N(), restored.Seed(), restored.Bootstrap())
-	}
-	restored.Extend(pairs[10:])
-	got, _ := restored.Snapshot()
-	if !bytes.Equal(got, refSnap) {
+	extend(restored, pairs[10:], 2)
+	if !bytes.Equal(snapshot(t, restored), refSnap) {
 		t.Fatal("restore→extend differs from uninterrupted analysis")
+	}
+	if decide(crit, restored) != decide(crit, ref) {
+		t.Fatal("restore→extend decides differently from uninterrupted analysis")
 	}
 }
 
-// parentSnapshotK16 is an AnalysisState snapshot persisted by an earlier
-// release: PAB{Bootstrap: 16}.NewAnalysis(5, ·) extended by the first 10 of
+// parentSnapshotK16 is an analysis snapshot persisted by an earlier
+// release: a K=16 analysis seeded 5 extended by the first 10 of
 // testPairs(xrand.New(41), 15). Stores written then must keep resuming.
 const parentSnapshotK16 = "" +
 	"5642414e53310a000000000000000700000000000000d6f2763379db0e4036db" +
@@ -157,7 +170,7 @@ const parentSnapshotK16 = "" +
 
 // TestAnalysisSnapshotCompat: a snapshot written by an earlier release
 // restores, extends by 5 more pairs, and matches a from-scratch analysis of
-// all 15 bit for bit.
+// all 15 bit for bit; the same 10 pairs still serialize to its exact bytes.
 func TestAnalysisSnapshotCompat(t *testing.T) {
 	crit := PAB{Bootstrap: 16}
 	pairs := testPairs(xrand.New(41), 15)
@@ -165,61 +178,71 @@ func TestAnalysisSnapshotCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := crit.RestoreAnalysis(blob, 2)
-	if err != nil {
+	restored := newAccum(t, crit, 5)
+	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if restored.N() != 10 || restored.Seed() != 5 || restored.Bootstrap() != 16 {
-		t.Fatalf("restored identity: n=%d seed=%d k=%d", restored.N(), restored.Seed(), restored.Bootstrap())
+	if restored.N() != 10 || restored.Seed() != 5 || restored.K() != 16 {
+		t.Fatalf("restored identity: n=%d seed=%d k=%d", restored.N(), restored.Seed(), restored.K())
 	}
-	restored.Extend(pairs[10:])
-	fresh, _ := crit.NewAnalysis(5, 1)
-	fresh.Extend(pairs)
-	got, _ := restored.Snapshot()
-	want, _ := fresh.Snapshot()
-	if !bytes.Equal(got, want) {
+	prefix := newAccum(t, crit, 5)
+	extend(prefix, pairs[:10], 1)
+	if !bytes.Equal(snapshot(t, prefix), blob) {
+		t.Fatal("snapshot bytes differ from the earlier release's for the same pairs")
+	}
+	extend(restored, pairs[10:], 2)
+	fresh := newAccum(t, crit, 5)
+	extend(fresh, pairs, 1)
+	if !bytes.Equal(snapshot(t, restored), snapshot(t, fresh)) {
 		t.Fatal("restored earlier-release snapshot diverges from a from-scratch analysis")
 	}
 }
 
-// TestRestoreAnalysisRejects: K mismatches, foreign accumulator kinds and
-// corrupt blobs are rejected whole.
+// TestRestoreAnalysisRejects: K or seed mismatches, foreign accumulator
+// kinds and corrupt blobs are rejected whole.
 func TestRestoreAnalysisRejects(t *testing.T) {
 	crit := PAB{Bootstrap: 100}
-	st, _ := crit.NewAnalysis(1, 1)
-	st.Extend(testPairs(xrand.New(2), 8))
-	good, _ := st.Snapshot()
+	ac := newAccum(t, crit, 1)
+	extend(ac, testPairs(xrand.New(2), 8), 1)
+	good := snapshot(t, ac)
 
-	if _, err := (PAB{Bootstrap: 200}).RestoreAnalysis(good, 1); err == nil {
+	restore := func(crit PAB, seed uint64, blob []byte) error {
+		return newAccum(t, crit, seed).UnmarshalBinary(blob)
+	}
+	if err := restore(PAB{Bootstrap: 200}, 1, good); err == nil {
 		t.Fatal("accepted a snapshot with mismatched K")
 	}
-	if _, err := crit.RestoreAnalysis(good[:20], 1); err == nil {
+	if err := restore(crit, 2, good); err == nil {
+		t.Fatal("accepted a snapshot with a different seed")
+	}
+	if err := restore(crit, 1, good[:20]); err == nil {
 		t.Fatal("accepted a truncated snapshot")
 	}
-	if _, err := crit.RestoreAnalysis([]byte("not a snapshot at all......"), 1); err == nil {
+	if err := restore(crit, 1, []byte("not a snapshot at all......")); err == nil {
 		t.Fatal("accepted garbage")
 	}
 	// The same blob with any other accumulator kind byte must be rejected
-	// as the wrong kernel.
-	kindAt := analysisHeaderSize + len("VBACC1")
-	if good[kindAt] != byte(stats.AccPAB) {
-		t.Fatalf("kind byte at offset %d is %d, want %d", kindAt, good[kindAt], stats.AccPAB)
+	// as the wrong kernel. The kind byte follows the 38-byte exact-sums
+	// header and the accumulator magic; the weighted P(A>B) kind is 4.
+	const kindAt, pabKind = len("VBANS1") + 4*8 + len("VBACC1"), 4
+	if good[kindAt] != pabKind {
+		t.Fatalf("kind byte at offset %d is %d, want %d", kindAt, good[kindAt], pabKind)
 	}
 	for kind := 0; kind < 256; kind++ {
-		if kind == int(stats.AccPAB) {
+		if kind == pabKind {
 			continue
 		}
 		wrong := bytes.Clone(good)
 		wrong[kindAt] = byte(kind)
-		if _, err := crit.RestoreAnalysis(wrong, 1); err == nil {
+		if err := restore(crit, 1, wrong); err == nil {
 			t.Fatalf("accepted a foreign accumulator kind %d", kind)
 		}
 	}
-	if _, err := crit.RestoreAnalysis(good, 1); err != nil {
+	if err := restore(crit, 1, good); err != nil {
 		t.Fatalf("rejected its own snapshot: %v", err)
 	}
-	if _, err := (PAB{Bootstrap: -1}).NewAnalysis(1, 1); err == nil {
-		t.Fatal("NewAnalysis accepted an invalid criterion")
+	if _, err := stats.NewAccum((PAB{Bootstrap: -1}).boots(), 1); err == nil {
+		t.Fatal("NewAccum accepted an invalid criterion's resample count")
 	}
 }
 
@@ -233,13 +256,9 @@ func TestAnalysisStateDecisions(t *testing.T) {
 	for i := range sep {
 		sep[i] = stats.Pair{A: 1 + 0.05*r.NormFloat64(), B: 0.05 * r.NormFloat64()}
 	}
-	st, _ := crit.NewAnalysis(3, 1)
-	st.Extend(sep)
-	res, err := st.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision != SignificantAndMeaningful {
+	ac := newAccum(t, crit, 3)
+	extend(ac, sep, 1)
+	if res := decide(crit, ac); res.Decision != SignificantAndMeaningful {
 		t.Fatalf("separated pairs: %v, want significant and meaningful", res.Decision)
 	}
 
@@ -248,19 +267,20 @@ func TestAnalysisStateDecisions(t *testing.T) {
 		v := r.NormFloat64()
 		tied[i] = stats.Pair{A: v + 0.01*r.NormFloat64(), B: v + 0.01*r.NormFloat64()}
 	}
-	st2, _ := crit.NewAnalysis(3, 1)
-	st2.Extend(tied)
-	res2, err := st2.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Decision == SignificantAndMeaningful {
+	ac2 := newAccum(t, crit, 3)
+	extend(ac2, tied, 1)
+	if res2 := decide(crit, ac2); res2.Decision == SignificantAndMeaningful {
 		t.Fatalf("noise-only pairs judged meaningful: %+v", res2)
 	}
 
-	// Too few pairs is an error, as on the one-shot path.
-	empty, _ := crit.NewAnalysis(3, 1)
-	if _, err := empty.Evaluate(); err == nil {
-		t.Fatal("Evaluate accepted an empty state")
+	// An empty analysis has no estimate to decide on: its point and
+	// interval are NaN, which is why callers need ≥ 2 pairs, as on the
+	// one-shot path.
+	empty := newAccum(t, crit, 3)
+	if ci := empty.CI(crit.level()); !math.IsNaN(empty.Point()) || !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
+		t.Fatalf("empty analysis: point %v, CI %+v, want NaN", empty.Point(), ci)
+	}
+	if _, err := crit.Evaluate(sep[:1], 3, 1); err == nil {
+		t.Fatal("Evaluate accepted a single pair")
 	}
 }

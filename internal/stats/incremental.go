@@ -11,8 +11,9 @@ import (
 	"varbench/internal/xrand"
 )
 
-// The incremental bootstrap engine: a resumable accumulator of the P(A>B)
-// statistic.
+// The incremental bootstrap engine: a resumable analysis of the P(A>B)
+// statistic that owns a score stream's whole numeric state and its
+// snapshot bytes.
 //
 // The one-shot percentile bootstrap (bootstrap_sharded.go) draws, for each
 // of K resamples, n indices uniform in [0, n) — the index range itself
@@ -24,11 +25,13 @@ import (
 // Exp(1) weight w_ij and evaluates the weighted win fraction. A new pair
 // only *adds* terms to each resample's running sums, so the whole analysis
 // is resumable: per-update cost is O(K × n_new) and the state is two
-// K-length columns that serialize to a snapshot. Its one caller is the
-// root package's Stream. A bounded early-stop loop (Experiment.Run) re-runs
-// the one-shot engine at each batch boundary instead: over its few
-// boundaries that K × Σn work measured cheaper than this engine's one
-// Exp(1) draw per (pair, resample).
+// K-length columns plus the exact running sums behind the point estimate
+// and the means, all of which serialize to one snapshot. Its one caller is
+// the root package's Stream, which adds prefix verification and store
+// persistence. A bounded early-stop loop (Experiment.Run) re-runs the
+// one-shot engine at each batch boundary instead: over its few boundaries
+// that K × Σn work measured cheaper than this engine's one Exp(1) draw per
+// (pair, resample).
 //
 // Determinism contract (the incremental analogue of the kernel contract in
 // kernel.go):
@@ -37,7 +40,8 @@ import (
 //     from (seed, j, shard-of-i) alone — never from when pair j arrived,
 //     how extensions were batched, or the worker count — consuming exactly
 //     one Float64 per (pair, resample) in resample order within the shard;
-//   - each resample's sums accumulate over pairs in pair order;
+//   - each resample's sums, and the exact sums, accumulate over pairs in
+//     pair order;
 //
 // so Extend(x₁) followed by Extend(x₂) is bit-identical to Extend(x₁‖x₂),
 // at any worker count, across any snapshot/restore boundary. This is a
@@ -45,47 +49,44 @@ import (
 // intervals are statistically equivalent but not numerically identical to
 // PairedPercentileBootstrapKernel's — which is exactly why it can be
 // incremental: the multinomial scheme has no arrival-order-independent
-// form.
+// form. The point estimate and the means are not resampled: they are
+// bit-identical to PABKernel.Stat and Mean over the same sequence.
+//
+// The incremental analysis is paired-only: the unpaired P(A>B) point
+// estimate is the Mann-Whitney U statistic, a rank statistic with no
+// extendable per-pair sums.
 //
 // Shard boundaries reuse BootstrapShards(k), a pure function of k, so the
 // parallel extension is worker-count invariant for the same reason the
 // one-shot sharded engine is.
 
-// An AccumKind identifies the statistic of an incremental accumulator. Its
-// byte value is part of the snapshot format.
-type AccumKind uint8
-
-// AccPAB: the weighted fraction of pairs A wins, ties counted half — the
-// incremental form of the recommended protocol's P(A>B) statistic, and the
-// only accumulator kind. Its value 4 is pinned by persisted snapshots.
-const AccPAB AccumKind = 4
-
-// ID returns the versioned kernel identity used to fingerprint snapshots:
-// bumping the version here deliberately invalidates persisted state after a
-// semantic change to the accumulator algebra.
-func (k AccumKind) ID() string {
-	if k == AccPAB {
-		return "wb-pab/v1"
-	}
-	return fmt.Sprintf("wb-unknown(%d)", uint8(k))
-}
-
-// accumCols is the number of K-length columns an AccPAB accumulator keeps:
-// the total weight and the weighted twice-the-win count of each resample.
-const accumCols = 2
+// The accumulator's identity. accumKind is the snapshot's kind byte (the
+// weighted fraction of pairs A wins, ties counted half); its value 4 is
+// pinned by persisted snapshots. accumID versions the accumulator algebra
+// for fingerprints: bumping it deliberately invalidates persisted state.
+const (
+	accumKind = 4
+	accumID   = "wb-pab/v1"
+)
 
 // An Accum is a resumable bootstrap analysis of P(A>B): K weighted
-// resamples maintained as running sums that new pairs extend in place.
-// The zero value is unusable; construct with NewAccum or RestoreAccum.
-// An Accum is not safe for concurrent mutation; ExtendPairs parallelizes
-// internally.
+// resamples maintained as running sums that new pairs extend in place, plus
+// the exact sums behind the point estimate and the means. The zero value is
+// unusable; construct with NewAccum. An Accum is not safe for concurrent
+// mutation; Extend parallelizes internally.
 type Accum struct {
 	k    int
 	seed uint64
 	n    int // pairs consumed
 	// Per-resample running sums: the total weight, and the weighted
 	// twice-the-win count (weights 2, 1, 0 for win, tie, loss).
-	weight, winsX2 []float64
+	weight, wwins []float64
+	// Exact running sums: the win count as an integer twice-the-win count
+	// (exact dyadic recovery of the plug-in estimate) and the score sums in
+	// arrival order — the same order and operations PABKernel.Stat and Mean
+	// perform.
+	winsX2     int64
+	sumA, sumB float64
 }
 
 // NewAccum returns an empty accumulator with k resamples, drawing all
@@ -94,7 +95,7 @@ func NewAccum(k int, seed uint64) (*Accum, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("stats: accumulator needs ≥ 1 resample, got %d", k)
 	}
-	return &Accum{k: k, seed: seed, weight: make([]float64, k), winsX2: make([]float64, k)}, nil
+	return &Accum{k: k, seed: seed, weight: make([]float64, k), wwins: make([]float64, k)}, nil
 }
 
 // K returns the number of resamples.
@@ -105,6 +106,11 @@ func (ac *Accum) Seed() uint64 { return ac.seed }
 
 // N returns how many pairs the accumulator has consumed.
 func (ac *Accum) N() int { return ac.n }
+
+// ID returns the versioned accumulator identity; callers that persist
+// snapshots fingerprint them with it, K() and Seed() to reject stale state
+// before restoring.
+func (ac *Accum) ID() string { return accumID }
 
 // incLabelPrefix roots the per-(pair, shard) weight-stream labels. The
 // label bytes must stay exactly "incremental/x/<pair>/shard/<index>": they
@@ -157,25 +163,30 @@ func (ac *Accum) sharded(workers int, work func(s, lo, hi int)) {
 	wg.Wait()
 }
 
-// ExtendPairs appends new paired measurements. The result is bit-identical
-// whether the pairs arrive in one call or many, at any worker count.
-func (ac *Accum) ExtendPairs(pairs []Pair, workers int) {
-	// The per-pair twice-the-win weight is precomputed once into pooled
-	// scratch shared read-only by all shards — the same per-call staging
-	// PABKernel uses.
-	dp := getFloats(len(pairs))
+// Extend appends the paired measurements (a[i], b[i]); a and b must have
+// equal length. The result is bit-identical whether the pairs arrive in one
+// call or many, at any worker count.
+func (ac *Accum) Extend(a, b []float64, workers int) {
+	// Each pair is classified once: its twice-the-win weight feeds the
+	// exact count here and, through pooled scratch shared read-only by all
+	// shards, every resample — the same per-call staging PABKernel uses.
+	dp := getFloats(len(a))
 	d := *dp
-	for j, pr := range pairs {
+	for j := range a {
 		switch {
-		case pr.A > pr.B:
+		case a[j] > b[j]:
 			d[j] = 2
-		case pr.A == pr.B:
+			ac.winsX2 += 2
+		case a[j] == b[j]:
 			d[j] = 1
+			ac.winsX2++
 		default:
 			d[j] = 0
 		}
+		ac.sumA += a[j]
+		ac.sumB += b[j]
 	}
-	start, weight, winsX2 := ac.n, ac.weight, ac.winsX2
+	start, weight, wwins := ac.n, ac.weight, ac.wwins
 	ac.sharded(workers, func(s, lo, hi int) {
 		// For each (pair, shard), seed the label-derived stream and draw one
 		// weight per resample in resample order.
@@ -187,12 +198,31 @@ func (ac *Accum) ExtendPairs(pairs []Pair, workers int) {
 			for i := lo; i < hi; i++ {
 				w := expWeight(&r)
 				weight[i] += w
-				winsX2[i] += w * d[j]
+				wwins[i] += w * d[j]
 			}
 		}
 	})
 	putFloats(dp)
-	ac.n += len(pairs)
+	ac.n += len(a)
+}
+
+// Point returns the plug-in estimate of P(A>B) over the consumed pairs —
+// bit-identical to PABKernel.Stat on the same sequence (NaN before any pair
+// exists).
+func (ac *Accum) Point() float64 {
+	if ac.n == 0 {
+		return math.NaN()
+	}
+	return float64(ac.winsX2) / 2 / float64(ac.n)
+}
+
+// Means returns the running mean scores of the two sides — bit-identical to
+// Mean over each side's sequence (NaN before any pair exists).
+func (ac *Accum) Means() (meanA, meanB float64) {
+	if ac.n == 0 {
+		return math.NaN(), math.NaN()
+	}
+	return ac.sumA / float64(ac.n), ac.sumB / float64(ac.n)
 }
 
 // CI reads the two-sided percentile interval off the K weighted resample
@@ -208,7 +238,7 @@ func (ac *Accum) CI(level float64) CI {
 	vp := getFloats(ac.k)
 	vals := *vp
 	for i := range vals {
-		vals[i] = ac.winsX2[i] / 2 / ac.weight[i]
+		vals[i] = ac.wwins[i] / 2 / ac.weight[i]
 	}
 	ci := percentileCI(vals, level)
 	putFloats(vp)
@@ -216,83 +246,101 @@ func (ac *Accum) CI(level float64) CI {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots. An accumulator serializes to a self-describing binary blob:
+// Snapshots. MarshalBinary writes, and UnmarshalBinary reads, one blob:
 //
-//	offset size  field
-//	0      6     magic "VBACC1"
-//	6      1     kind (AccumKind; always AccPAB)
-//	7      8     k      (uint64 LE)
-//	15     8     seed   (uint64 LE)
-//	23     8     n      (uint64 LE)
-//	31     8     nb     (uint64 LE; reserved, always 0)
-//	39     8·k   weight column, float64 bits LE
-//	39+8k  8·k   winsX2 column, float64 bits LE
+//	offset  size  field
+//	0       6     magic "VBANS1"
+//	6       8     n       (uint64 LE)
+//	14      8     winsX2  (int64 LE)
+//	22      8     sumA    (float64 bits LE)
+//	30      8     sumB    (float64 bits LE)
+//	38      6     magic "VBACC1"
+//	44      1     kind    (accumKind)
+//	45      8     k       (uint64 LE)
+//	53      8     seed    (uint64 LE)
+//	61      8     n again (uint64 LE)
+//	69      8     reserved, always 0
+//	77      8·k   weight column, float64 bits LE
+//	77+8k   8·k   wwins column, float64 bits LE
 //
-// Float64 bit patterns round-trip exactly (including NaN/Inf sums produced
-// by non-finite scores), so restore → extend is bit-identical to never
-// having snapshotted. The magic's trailing digit is the format version.
+// Earlier releases wrote this layout as two nested blobs from two packages
+// (hence the two magics and the repeated n); it is kept byte for byte so
+// persisted stores keep resuming. Each magic's trailing digit is a format
+// version. Float64 bit patterns round-trip exactly (including NaN/Inf sums
+// produced by non-finite scores), so restore → extend is bit-identical to
+// never having snapshotted.
 
-// accumMagic identifies (and versions) the snapshot encoding.
-const accumMagic = "VBACC1"
+const (
+	sumsMagic  = "VBANS1"
+	accumMagic = "VBACC1"
+	// accumHeaderSize is the byte length of everything before the columns.
+	accumHeaderSize = len(sumsMagic) + 4*8 + len(accumMagic) + 1 + 4*8
+)
 
-// accumHeaderSize is the byte length of the fixed snapshot header.
-const accumHeaderSize = len(accumMagic) + 1 + 4*8
-
-// MarshalBinary serializes the accumulator state; see the format comment
-// above. The blob embeds kind, k and seed, so RestoreAccum needs no side
-// channel — callers that persist snapshots should still fingerprint them
-// with AccPAB.ID(), K() and Seed() to reject stale state early.
+// MarshalBinary serializes the accumulator state; see the layout above.
 func (ac *Accum) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, accumHeaderSize+8*ac.k*accumCols)
-	copy(buf, accumMagic)
-	buf[len(accumMagic)] = byte(AccPAB)
-	off := len(accumMagic) + 1
-	for _, v := range []uint64{uint64(ac.k), ac.seed, uint64(ac.n), 0} {
-		binary.LittleEndian.PutUint64(buf[off:], v)
-		off += 8
+	le := binary.LittleEndian
+	buf := make([]byte, 0, accumHeaderSize+8*2*ac.k)
+	buf = append(buf, sumsMagic...)
+	buf = le.AppendUint64(buf, uint64(ac.n))
+	buf = le.AppendUint64(buf, uint64(ac.winsX2))
+	buf = le.AppendUint64(buf, math.Float64bits(ac.sumA))
+	buf = le.AppendUint64(buf, math.Float64bits(ac.sumB))
+	buf = append(buf, accumMagic...)
+	buf = append(buf, accumKind)
+	for _, v := range [...]uint64{uint64(ac.k), ac.seed, uint64(ac.n), 0} {
+		buf = le.AppendUint64(buf, v)
 	}
-	for _, col := range [accumCols][]float64{ac.weight, ac.winsX2} {
+	for _, col := range [...][]float64{ac.weight, ac.wwins} {
 		for _, v := range col {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-			off += 8
+			buf = le.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	return buf, nil
 }
 
-// RestoreAccum rebuilds an accumulator from a MarshalBinary blob. A
-// truncated, oversized, version-mismatched or foreign-kind blob is
-// rejected — never partially applied.
-func RestoreAccum(data []byte) (*Accum, error) {
-	if len(data) < accumHeaderSize || string(data[:len(accumMagic)]) != accumMagic {
-		return nil, fmt.Errorf("stats: not an accumulator snapshot (bad magic or truncated header)")
+// UnmarshalBinary restores a MarshalBinary snapshot into ac, which must
+// have the snapshot's K and seed (as NewAccum built it). A truncated,
+// oversized, version-mismatched, foreign-kind, incoherent or
+// foreign-identity snapshot is rejected and ac is left unchanged — never
+// partially applied — so callers fall back to recomputing from scratch.
+func (ac *Accum) UnmarshalBinary(data []byte) error {
+	const kindAt = accumHeaderSize - 4*8 - 1
+	if len(data) < accumHeaderSize || string(data[:len(sumsMagic)]) != sumsMagic ||
+		string(data[kindAt-len(accumMagic):kindAt]) != accumMagic {
+		return fmt.Errorf("stats: not an accumulator snapshot (bad magic or truncated header)")
 	}
-	if kind := AccumKind(data[len(accumMagic)]); kind != AccPAB {
-		return nil, fmt.Errorf("stats: snapshot holds a %s accumulator, want %s", kind.ID(), AccPAB.ID())
+	if kind := data[kindAt]; kind != accumKind {
+		return fmt.Errorf("stats: snapshot holds accumulator kind %d, want %d (%s)", kind, accumKind, accumID)
 	}
-	off := len(accumMagic) + 1
+	off := len(sumsMagic)
 	word := func() uint64 {
 		v := binary.LittleEndian.Uint64(data[off:])
 		off += 8
 		return v
 	}
-	k64, seed, n64, nb64 := word(), word(), word(), word()
-	const maxK = 1 << 31
-	if k64 < 1 || k64 > maxK {
-		return nil, fmt.Errorf("stats: snapshot resample count %d out of range", k64)
+	n64, winsX2, sumA, sumB := word(), int64(word()), word(), word()
+	off = kindAt + 1
+	k64, seed, accN, reserved := word(), word(), word(), word()
+	if k64 != uint64(ac.k) || seed != ac.seed {
+		return fmt.Errorf("stats: snapshot of k=%d seed=%d, want k=%d seed=%d", k64, seed, ac.k, ac.seed)
 	}
-	k := int(k64)
-	if want := accumHeaderSize + 8*k*accumCols; len(data) != want {
-		return nil, fmt.Errorf("stats: snapshot length %d, want %d for %s k=%d", len(data), want, AccPAB.ID(), k)
+	if want := accumHeaderSize + 8*2*ac.k; len(data) != want {
+		return fmt.Errorf("stats: snapshot length %d, want %d for %s k=%d", len(data), want, accumID, ac.k)
 	}
-	if n64 > maxK*maxK || nb64 != 0 {
-		return nil, fmt.Errorf("stats: snapshot element count out of range")
+	const maxN = 1 << 62
+	if n64 > maxN || accN != n64 || reserved != 0 {
+		return fmt.Errorf("stats: snapshot pair counts %d/%d incoherent", n64, accN)
 	}
-	ac := &Accum{k: k, seed: seed, n: int(n64), weight: make([]float64, k), winsX2: make([]float64, k)}
-	for _, col := range [accumCols][]float64{ac.weight, ac.winsX2} {
+	if winsX2 < 0 || winsX2 > 2*int64(n64) {
+		return fmt.Errorf("stats: snapshot win weight %d out of range for %d pairs", winsX2, n64)
+	}
+	ac.n, ac.winsX2 = int(n64), winsX2
+	ac.sumA, ac.sumB = math.Float64frombits(sumA), math.Float64frombits(sumB)
+	for _, col := range [...][]float64{ac.weight, ac.wwins} {
 		for i := range col {
 			col[i] = math.Float64frombits(word())
 		}
 	}
-	return ac, nil
+	return nil
 }

@@ -16,14 +16,14 @@ import (
 func BenchmarkIncrementalExtend(b *testing.B) {
 	const k = 1000
 	const nNew = 8
-	pairs := randomPairs(xrand.New(31), 1024+nNew)
+	sa, sb := unzipPairs(randomPairs(xrand.New(31), 1024+nNew))
 
 	for _, nOld := range []int{0, 64, 512} {
 		base, err := NewAccum(k, 77)
 		if err != nil {
 			b.Fatal(err)
 		}
-		base.ExtendPairs(pairs[:nOld], 1)
+		base.Extend(sa[:nOld], sb[:nOld], 1)
 		work, err := NewAccum(k, 77)
 		if err != nil {
 			b.Fatal(err)
@@ -35,9 +35,9 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 				// allocation) so every iteration times exactly one batch
 				// extension at a fixed n_old.
 				copy(work.weight, base.weight)
-				copy(work.winsX2, base.winsX2)
-				work.n = base.n
-				work.ExtendPairs(pairs[nOld:nOld+nNew], 1)
+				copy(work.wwins, base.wwins)
+				work.n, work.winsX2, work.sumA, work.sumB = base.n, base.winsX2, base.sumA, base.sumB
+				work.Extend(sa[nOld:nOld+nNew], sb[nOld:nOld+nNew], 1)
 			}
 		})
 	}
@@ -51,7 +51,7 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ac.ExtendPairs(pairs[:512+nNew], 1)
+			ac.Extend(sa[:512+nNew], sb[:512+nNew], 1)
 		}
 	})
 }
@@ -64,7 +64,8 @@ func BenchmarkIncrementalCI(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ac.ExtendPairs(randomPairs(xrand.New(31), 64), 1)
+	sa, sb := unzipPairs(randomPairs(xrand.New(31), 64))
+	ac.Extend(sa, sb, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if ci := ac.CI(0.95); ci.Lo > ci.Hi {

@@ -8,12 +8,28 @@ import (
 	"varbench/internal/xrand"
 )
 
+// extendPairs feeds pairs to ac through its two-slice Extend.
+func extendPairs(ac *Accum, pairs []Pair, workers int) {
+	a, b := unzipPairs(pairs)
+	ac.Extend(a, b, workers)
+}
+
+// unzipPairs splits pairs into their A and B score slices.
+func unzipPairs(pairs []Pair) (a, b []float64) {
+	a = make([]float64, len(pairs))
+	b = make([]float64, len(pairs))
+	for i, p := range pairs {
+		a[i], b[i] = p.A, p.B
+	}
+	return a, b
+}
+
 // extendAll feeds pairs to ac in the chunking the split list describes;
 // splits are cumulative pair counts and must end at len(pairs).
 func extendAll(ac *Accum, pairs []Pair, splits []int, workers int) {
 	lo := 0
 	for _, hi := range splits {
-		ac.ExtendPairs(pairs[lo:hi], workers)
+		extendPairs(ac, pairs[lo:hi], workers)
 		lo = hi
 	}
 }
@@ -104,15 +120,18 @@ func TestAccumSnapshotRoundTrip(t *testing.T) {
 		extendAll(ref, pairs, []int{n}, 1)
 		extendAll(half, pairs, []int{cut}, 1)
 
-		restored, err := RestoreAccum(accumBits(t, half))
+		restored, err := NewAccum(k, seed)
 		if err != nil {
-			t.Fatalf("RestoreAccum: %v", err)
+			t.Fatal(err)
+		}
+		if err := restored.UnmarshalBinary(accumBits(t, half)); err != nil {
+			t.Fatalf("UnmarshalBinary: %v", err)
 		}
 		if restored.K() != k || restored.Seed() != seed || restored.N() != cut {
 			t.Fatalf("restored identity mismatch: k=%d seed=%d n=%d",
 				restored.K(), restored.Seed(), restored.N())
 		}
-		restored.ExtendPairs(pairs[cut:], 1)
+		extendPairs(restored, pairs[cut:], 1)
 		if !bytes.Equal(accumBits(t, restored), accumBits(t, ref)) {
 			t.Fatal("restore→extend differs from uninterrupted run")
 		}
@@ -130,7 +149,7 @@ func TestAccumCISanity(t *testing.T) {
 		pairs[i] = Pair{A: 1 + 0.1*r.NormFloat64(), B: 0.1 * r.NormFloat64()}
 	}
 	pab, _ := NewAccum(1000, 11)
-	pab.ExtendPairs(pairs, 1)
+	extendPairs(pab, pairs, 1)
 	ci := pab.CI(0.95)
 	if !(ci.Lo > 0.5) || !(ci.Hi <= 1) || ci.Lo > ci.Hi {
 		t.Fatalf("PAB CI of clearly separated pairs: %+v", ci)
@@ -144,7 +163,7 @@ func TestAccumCIDegenerate(t *testing.T) {
 	if ci := ac.CI(0.95); !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
 		t.Fatalf("empty accumulator CI = %+v, want NaN", ci)
 	}
-	ac.ExtendPairs([]Pair{{A: 1, B: 2}, {A: 3, B: 1}, {A: 2, B: 2}}, 1)
+	ac.Extend([]float64{1, 3, 2}, []float64{2, 1, 2}, 1)
 	for _, level := range []float64{0, 1, -0.1, 1.1, math.NaN()} {
 		if ci := ac.CI(level); !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
 			t.Fatalf("CI(%v) = %+v, want NaN", level, ci)
@@ -162,11 +181,11 @@ func TestAccumShapeErrors(t *testing.T) {
 	}
 }
 
-// TestRestoreAccumRejectsGarbage: truncated, oversized or corrupted
-// snapshots are rejected whole — never partially applied.
+// TestRestoreAccumRejectsGarbage: truncated, oversized, corrupted or
+// foreign-identity snapshots are rejected whole — never partially applied.
 func TestRestoreAccumRejectsGarbage(t *testing.T) {
 	ac, _ := NewAccum(64, 9)
-	ac.ExtendPairs(randomPairs(xrand.New(3), 10), 1)
+	extendPairs(ac, randomPairs(xrand.New(3), 10), 1)
 	good, err := ac.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -177,29 +196,46 @@ func TestRestoreAccumRejectsGarbage(t *testing.T) {
 		good[:len(good)-1],           // truncated column data
 		append(bytes.Clone(good), 0), // trailing garbage
 	}
-	wrongMagic := bytes.Clone(good)
-	wrongMagic[0] = 'X'
-	bad = append(bad, wrongMagic)
-	// Every kind byte but AccPAB's is foreign, including the retired
+	for _, at := range []int{0, len(sumsMagic) + 4*8} { // either magic
+		wrongMagic := bytes.Clone(good)
+		wrongMagic[at] = 'X'
+		bad = append(bad, wrongMagic)
+	}
+	// Every kind byte but accumKind is foreign, including the retired
 	// one-sample, mean-difference and two-sample kinds 1, 2, 3 and 5.
+	kindAt := len(sumsMagic) + 4*8 + len(accumMagic)
 	for kind := 0; kind < 256; kind++ {
-		if kind != int(AccPAB) {
+		if kind != accumKind {
 			wrongKind := bytes.Clone(good)
-			wrongKind[len("VBACC1")] = byte(kind)
+			wrongKind[kindAt] = byte(kind)
 			bad = append(bad, wrongKind)
 		}
 	}
-	// The reserved nb word must be zero.
+	// The reserved word must be zero.
 	nonzeroNB := bytes.Clone(good)
 	nonzeroNB[accumHeaderSize-8] = 1
 	bad = append(bad, nonzeroNB)
 	for i, b := range bad {
-		if _, err := RestoreAccum(b); err == nil {
-			t.Fatalf("RestoreAccum accepted corrupt blob %d", i)
+		re, _ := NewAccum(64, 9)
+		if err := re.UnmarshalBinary(b); err == nil {
+			t.Fatalf("UnmarshalBinary accepted corrupt blob %d", i)
+		}
+		if re.N() != 0 || !math.IsNaN(re.Point()) {
+			t.Fatalf("rejected blob %d was partially applied", i)
 		}
 	}
-	if re, err := RestoreAccum(good); err != nil || re.N() != 10 {
-		t.Fatalf("RestoreAccum rejected its own output: %v", err)
+	for _, foreign := range []struct {
+		k    int
+		seed uint64
+	}{{65, 9}, {64, 10}} {
+		re, _ := NewAccum(foreign.k, foreign.seed)
+		if err := re.UnmarshalBinary(good); err == nil {
+			t.Fatalf("k=%d seed=%d accepted a k=64 seed=9 snapshot", foreign.k, foreign.seed)
+		}
+	}
+	re, _ := NewAccum(64, 9)
+	if err := re.UnmarshalBinary(good); err != nil || re.N() != 10 {
+		t.Fatalf("UnmarshalBinary rejected its own output: %v", err)
 	}
 }
 
@@ -208,22 +244,22 @@ func TestRestoreAccumRejectsGarbage(t *testing.T) {
 // how many elements the accumulator already holds — the in-place columns
 // never reallocate.
 func TestAccumExtendAllocsFlat(t *testing.T) {
-	pairs := randomPairs(xrand.New(8), 400)
+	a, b := unzipPairs(randomPairs(xrand.New(8), 400))
 	ac, _ := NewAccum(256, 2)
-	ac.ExtendPairs(pairs[:8], 1) // warm the pools
+	ac.Extend(a[:8], b[:8], 1) // warm the pools
 	lo := 8
 	measure := func() float64 {
 		return testing.AllocsPerRun(20, func() {
-			ac.ExtendPairs(pairs[lo:lo+8], 1)
+			ac.Extend(a[lo:lo+8], b[lo:lo+8], 1)
 			lo += 8
 		})
 	}
 	early := measure()
 	late := measure()
 	if early > 4 || late > 4 {
-		t.Fatalf("ExtendPairs allocates per batch: early=%v late=%v allocs/op, want ≤ 4", early, late)
+		t.Fatalf("Extend allocates per batch: early=%v late=%v allocs/op, want ≤ 4", early, late)
 	}
 	if late > early {
-		t.Fatalf("ExtendPairs allocations grow with n: early=%v late=%v", early, late)
+		t.Fatalf("Extend allocations grow with n: early=%v late=%v", early, late)
 	}
 }

@@ -91,8 +91,7 @@ func conformanceFixtures() []backendFixture {
 			name:    "faultinject-seglog",
 			durable: true,
 			open: func(t *testing.T, dir string) Backend {
-				s, err := OpenDSN("faultinject::seglog:"+dir,
-					WithFlushInterval(time.Millisecond))
+				s, err := OpenDSN("faultinject::seglog:" + dir)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,7 +23,7 @@ import (
 // jsonl backend on that directory, so every pre-DSN store argument keeps
 // meaning what it meant. An unknown lowercase scheme is an error naming
 // the valid ones rather than a surprise directory with a colon in it.
-func OpenDSN(dsn string, opts ...SegLogOption) (Backend, error) {
+func OpenDSN(dsn string) (Backend, error) {
 	scheme, rest, ok := splitScheme(dsn)
 	if !ok {
 		scheme, rest = "jsonl", dsn
@@ -43,7 +43,7 @@ func OpenDSN(dsn string, opts ...SegLogOption) (Backend, error) {
 		if rest == "" {
 			return nil, fmt.Errorf("store: DSN %q: seglog: needs a directory, e.g. seglog:cache", dsn)
 		}
-		return OpenSegLog(rest, opts...)
+		return OpenSegLog(rest)
 	case "faultinject":
 		schedule, inner, ok := strings.Cut(rest, ":")
 		if !ok {
@@ -53,7 +53,7 @@ func OpenDSN(dsn string, opts ...SegLogOption) (Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: DSN %q: %w", dsn, err)
 		}
-		b, err := OpenDSN(inner, opts...)
+		b, err := OpenDSN(inner)
 		if err != nil {
 			return nil, err
 		}

@@ -55,14 +55,13 @@ var segCRC = crc32.MakeTable(crc32.Castagnoli)
 type SegLogOption func(*segCfg)
 
 type segCfg struct {
-	flushBytes    int
 	flushInterval time.Duration
 	segmentBytes  int64
 }
 
-// WithFlushBytes sets the pending-batch size that triggers an immediate
-// group commit (default 256 KiB).
-func WithFlushBytes(n int) SegLogOption { return func(c *segCfg) { c.flushBytes = n } }
+// segFlushBytes is the pending-batch size that triggers an immediate group
+// commit.
+const segFlushBytes = 256 << 10
 
 // WithFlushInterval sets how long the committer coalesces appends before
 // committing a non-empty batch (default 2ms). It bounds the durability
@@ -116,7 +115,6 @@ type SegLog struct {
 // at.
 func OpenSegLog(dir string, opts ...SegLogOption) (*SegLog, error) {
 	cfg := segCfg{
-		flushBytes:    256 << 10,
 		flushInterval: 2 * time.Millisecond,
 		segmentBytes:  64 << 20,
 	}
@@ -374,7 +372,7 @@ func (s *SegLog) append(kind byte, key, fp string, value []byte, e entry) error 
 	s.pending = appendFrame(s.pending, kind, key, fp, value)
 	s.accepted += int64(len(s.pending) - before)
 	s.idx[key+"\x00"+fp] = e
-	if len(s.pending) >= s.cfg.flushBytes {
+	if len(s.pending) >= segFlushBytes {
 		select {
 		case s.kick <- struct{}{}:
 		default:

@@ -361,10 +361,10 @@ func FailureKey(seed uint64, dataset string, index int, side string) string {
 //
 //	{"n": <pairs consumed>, "hash": "<prefix hash, hex>", "state": "<base64>"}
 //
-// where state is the binary accumulator snapshot documented in
-// internal/stats/incremental.go (running per-resample sums; float bit
-// patterns preserved exactly) wrapped in the analysis header of
-// internal/compare. The fingerprint covers the kernel ID/version, the
+// where state is the binary snapshot of the stream's one accumulator,
+// stats.Accum, whose layout is documented in internal/stats/incremental.go
+// (exact running sums and per-resample sums; float bit patterns preserved
+// exactly). The fingerprint covers the kernel ID/version, the
 // resample count K, the analysis seed and the stream's pipeline ID, so a
 // snapshot is invalidated — recomputed, never silently reused — whenever
 // K, the kernel, the seed derivation or the stream identity changes. Later

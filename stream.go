@@ -40,6 +40,10 @@ type Stream struct {
 	mu     sync.Mutex // guards subs/closed; the feeding path is single-goroutine
 	subs   map[chan *Result]context.Context
 	closed bool
+	// done closes with the stream, releasing the Subscribe watchers that
+	// watchers tracks so Close can wait for them.
+	done     chan struct{}
+	watchers sync.WaitGroup
 }
 
 // NewStream opens an incremental analysis stream. The statistical knobs
@@ -52,24 +56,25 @@ func NewStream(opts ...Option) (*Stream, error) {
 		return nil, err
 	}
 	crit := compare.PAB{Gamma: cfg.Gamma, Level: cfg.Confidence, Bootstrap: cfg.Bootstrap}
-	seed := xrand.New(cfg.Seed).Split("analysis/stream").Uint64()
+	acc, err := stats.NewAccum(cfg.Bootstrap, xrand.New(cfg.Seed).Split("analysis/stream").Uint64())
+	if err != nil {
+		return nil, err
+	}
 	// The fingerprint pins state validity only (kernel algebra/version, K,
 	// seed derivation, stream identity): no decision schedule is replayed,
 	// so γ and the level stay out and changing them resumes the same state.
 	fp := store.Fingerprint(
 		"varbench/stream/v1",
 		"pipeline="+cfg.PipelineID,
-		fmt.Sprintf("kernel=%s/k=%d/seed=%d", stats.AccPAB.ID(), cfg.Bootstrap, seed),
+		fmt.Sprintf("kernel=%s/k=%d/seed=%d", acc.ID(), acc.K(), acc.Seed()),
 	)
-	ana, err := newIncAnalysis(crit, seed, cfg.AnalysisParallelism, cfg.Store,
+	ana := newIncAnalysis(crit, acc, cfg.AnalysisParallelism, cfg.Store,
 		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp)
-	if err != nil {
-		return nil, err
-	}
 	return &Stream{
 		cfg:  cfg,
 		ana:  ana,
 		subs: make(map[chan *Result]context.Context),
+		done: make(chan struct{}),
 	}, nil
 }
 
@@ -175,10 +180,19 @@ func (s *Stream) Subscribe(ctx context.Context) <-chan *Result {
 		return ch
 	}
 	s.subs[ch] = ctx
+	done := ctx.Done()
+	if done != nil {
+		s.watchers.Add(1)
+	}
 	s.mu.Unlock()
-	if done := ctx.Done(); done != nil {
+	if done != nil {
 		go func() {
-			<-done
+			defer s.watchers.Done()
+			select {
+			case <-done:
+			case <-s.done: // Close has closed ch
+				return
+			}
 			s.mu.Lock()
 			if _, ok := s.subs[ch]; ok {
 				delete(s.subs, ch)
@@ -210,18 +224,23 @@ func (s *Stream) isClosed() bool {
 	return s.closed
 }
 
-// Close ends the stream: subscriber channels close and further Extends
-// fail. It does not flush; call Flush first to persist the final state.
+// Close ends the stream: subscriber channels close, their watcher
+// goroutines exit before Close returns, and further Extends fail. It does
+// not flush; call Flush first to persist the final state.
 func (s *Stream) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	for ch := range s.subs {
 		delete(s.subs, ch)
 		close(ch)
 	}
+	s.mu.Unlock()
+	// Watchers take s.mu to unsubscribe, so wait without holding it.
+	s.watchers.Wait()
 	return nil
 }

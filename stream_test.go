@@ -1,7 +1,11 @@
 package varbench
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"varbench/store"
@@ -207,4 +211,108 @@ func TestStreamPoisonedSnapshotRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	comparisonsEqual(t, got.Comparison, want.Comparison, "rebuilt vs fresh over changed scores")
+}
+
+// earlierStreamRecord is the analysis record an earlier release's Stream
+// wrote: WithSeed(11), WithGamma(0.65), WithBootstrap(16) and
+// WithPipelineID("cross-release") over a store.NewMem, flushed after the
+// first 7 streamScores pairs. Its key, fingerprint and payload bytes pin the
+// persisted format: stores written then must keep resuming, not rebuilding.
+const (
+	earlierStreamKey     = "analysis/seed=11/scope=stream/cross-release"
+	earlierStreamFP      = "ac73858adf178a828876cd6a86e9e8ee"
+	earlierStreamPayload = `{"n":7,"hash":"3a03fba851f10901","state":"` +
+		`VkJBTlMxBwAAAAAAAAAOAAAAAAAAAHoUrkfhehlA16NwPQrXF0BWQkFDQzEEEAAA` +
+		`AAAAAAC+q9ygfItlawcAAAAAAAAAAAAAAAAAAACqhkO0BBwmQPJZxOhg/whAMm85` +
+		`qgTQHUDsZrt2WVwcQLPyipK1Lx9AByK0jEHwE0Cm3DWE2JgTQBdGKVyXSjFAkz4k` +
+		`tFp7EUDLT6IVf9gbQCZQx1gQZRhAIcmkVm4/C0A2AGVQ1sQsQAcyoZEmLC1ANDmn` +
+		`BHdiEUAO8lbSTj0iQKqGQ7QEHDZA8lnE6GD/GEAybzmqBNAtQOxmu3ZZXCxAs/KK` +
+		`krUvL0AHIrSMQfAjQKbcNYTYmCNAF0YpXJdKQUCTPiS0WnshQMtPohV/2CtAJlDH` +
+		`WBBlKEAhyaRWbj8bQDYAZVDWxDxABzKhkSYsPUA0OacEd2IhQA7yVtJOPTJA` +
+		`"}`
+)
+
+// TestStreamResumesEarlierReleaseSnapshot: a new Stream over an analysis
+// record written by an earlier release accepts it — it replays the
+// snapshot's prefix instead of rebuilding — and its final Result JSON
+// equals an uninterrupted stream's.
+func TestStreamResumesEarlierReleaseSnapshot(t *testing.T) {
+	a, b := streamScores()
+	opts := []Option{WithSeed(11), WithGamma(0.65), WithBootstrap(16)}
+	clean, err := NewStream(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.Extend(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := store.NewMem()
+	if err := st.PutJSON(earlierStreamKey, earlierStreamFP, json.RawMessage(earlierStreamPayload)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(append(opts, WithStore(st), WithPipelineID("cross-release"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 7
+	for i := 0; i < cut; i++ {
+		if !s.Replaying() {
+			t.Fatalf("not replaying before pair %d: the earlier release's snapshot was not accepted", i)
+		}
+		res, err := s.Extend(a[i:i+1], b[i:i+1])
+		if err != nil || (i < cut-1 && res != nil) {
+			t.Fatalf("replaying extend %d: res=%v err=%v, want nil/nil", i, res, err)
+		}
+	}
+	if s.Replaying() {
+		t.Fatal("still replaying past the snapshot's prefix")
+	}
+	got, err := s.Extend(a[cut:], b[cut:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("resumed result:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+}
+
+// TestStreamCloseReleasesSubscribers: Close ends every subscription's
+// watcher goroutine, even when the subscriber's context is never canceled.
+func TestStreamCloseReleasesSubscribers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := NewStream(WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	chans := make([]<-chan *Result, 4)
+	for i := range chans {
+		chans[i] = s.Subscribe(ctx)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range chans {
+		if _, open := <-ch; open {
+			t.Fatalf("subscriber %d still open after Close", i)
+		}
+	}
+	// Close has waited for the watchers; let the exiting ones be descheduled.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, want ≤ %d: subscription watchers leaked", n, base)
+	}
 }

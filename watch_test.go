@@ -215,6 +215,11 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 	if res, err := early.Extend(a[:1], b[:1]); err != nil || res != nil {
 		t.Fatalf("1-pair stream: res=%v err=%v, want nil/nil", res, err)
 	}
+	// Asked directly, a 1-pair stream has no conclusion: an error, as on
+	// the one-shot path, not a decision read off a NaN interval.
+	if res, err := early.Result(); err == nil {
+		t.Fatalf("1-pair Result accepted: %+v", res)
+	}
 	if _, err := early.Extend(a[:2], b[:1]); err == nil {
 		t.Fatal("unpaired extend accepted")
 	}
