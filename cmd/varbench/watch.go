@@ -24,7 +24,7 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	file := fs.String("file", "", "score file to watch: a,b CSV or {\"a\":..,\"b\":..} JSONL lines (required)")
 	follow := fs.Bool("follow", false, "keep tailing after EOF, analyzing lines as they are appended")
 	every := fs.Int("every", 0, "render an interim conclusion every N new pairs (0: only the final one)")
-	poll := fs.Duration("poll", 500*time.Millisecond, "poll interval while following")
+	poll := fs.Duration("poll", 500*time.Millisecond, "poll interval while following (must be positive)")
 	gamma := fs.Float64("gamma", varbench.DefaultGamma, "meaningfulness threshold for P(A>B)")
 	confidence := fs.Float64("confidence", varbench.DefaultConfidence, "bootstrap CI confidence level")
 	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples")
@@ -47,6 +47,14 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	}
 	if *storeDir != "" && *id == "" {
 		return fmt.Errorf("-store needs -id to name the stream's snapshot")
+	}
+	// A non-positive poll makes the EOF wait return at once, so -follow
+	// would spin a CPU.
+	if *poll <= 0 {
+		return fmt.Errorf("-poll must be positive, got %v", *poll)
+	}
+	if *every < 0 {
+		return fmt.Errorf("-every must be ≥ 0 (0: only the final conclusion), got %d", *every)
 	}
 	var ren varbench.Renderer
 	switch *format {

@@ -93,6 +93,41 @@ func TestWatchCommandErrors(t *testing.T) {
 	}
 }
 
+// TestWatchCommandRejectsNonPositivePoll: -poll 0 or below would make the
+// -follow EOF wait return at once and spin a CPU, so it is refused before
+// the store or the file is opened (the file here does not exist).
+func TestWatchCommandRejectsNonPositivePoll(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.csv")
+	for _, poll := range []string{"0", "-1s"} {
+		var out bytes.Buffer
+		args := []string{"watch", "-file", missing, "-follow", "-poll", poll, "-store", filepath.Join(dir, "st"), "-id", "p"}
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "-poll") {
+			t.Errorf("-poll %s: got %v, want an error naming -poll", poll, err)
+		}
+		if _, statErr := os.Stat(filepath.Join(dir, "st")); statErr == nil {
+			t.Errorf("-poll %s: the store was opened before the flag was checked", poll)
+		}
+	}
+}
+
+// TestWatchCommandRejectsNegativeEvery: -every below 0 is an error naming
+// the flag, not a silent "final conclusion only".
+func TestWatchCommandRejectsNegativeEvery(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "scores.csv")
+	writeScoreFile(t, file, 12)
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"watch", "-file", file, "-every", "-5"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-every") {
+		t.Errorf("-every -5: got %v, want an error naming -every", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-every -5 rendered output:\n%s", out.String())
+	}
+}
+
 // TestWatchCommandFollowInterrupt: a -follow watch with -store, canceled
 // while tailing, flushes its snapshot and reports context.Canceled (main
 // maps that to exit 130); the resumed bounded run renders a report

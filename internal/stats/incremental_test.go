@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 
 	"varbench/internal/xrand"
@@ -92,6 +93,93 @@ func TestAccumExtendBitIdentical(t *testing.T) {
 				}
 				if !ciEqual(got.CI(0.95), refCI) {
 					t.Fatalf("CI differs: %+v vs %+v", got.CI(0.95), refCI)
+				}
+			}
+		}
+	}
+}
+
+// referenceExtend is the engine's extension loop as it stood before the
+// fused Exp(1) kernel, kept verbatim as the oracle for the weights: one
+// label "incremental/x/<pair>/shard/<index>" formatted and hashed per
+// (pair, shard), then one -math.Log1p(-Float64()) per resample in resample
+// order. It runs serially.
+func referenceExtend(ac *Accum, a, b []float64) {
+	d := make([]float64, len(a))
+	for j := range a {
+		switch {
+		case a[j] > b[j]:
+			d[j] = 2
+			ac.winsX2 += 2
+		case a[j] == b[j]:
+			d[j] = 1
+			ac.winsX2++
+		default:
+			d[j] = 0
+		}
+		ac.sumA += a[j]
+		ac.sumB += b[j]
+	}
+	nsh := BootstrapShards(ac.k)
+	for s := 0; s < nsh; s++ {
+		lo, hi := s*ac.k/nsh, (s+1)*ac.k/nsh
+		var root, r xrand.Source
+		root.Seed(ac.seed)
+		var lbl [64]byte
+		for j := range d {
+			label := append(lbl[:0], "incremental/x/"...)
+			label = strconv.AppendInt(label, int64(ac.n+j), 10)
+			label = append(label, "/shard/"...)
+			label = strconv.AppendInt(label, int64(s), 10)
+			r.Seed(root.SplitSeedBytes(label))
+			for i := lo; i < hi; i++ {
+				w := -math.Log1p(-r.Float64())
+				ac.weight[i] += w
+				ac.wwins[i] += w * d[j]
+			}
+		}
+	}
+	ac.n += len(a)
+}
+
+// TestAccumMatchesReference pins the weights bit for bit: Extend's snapshot
+// bytes must equal referenceExtend's. K covers one resample, K below, at and
+// just above the 64-shard cap, the default 1000, and 4161, whose 65- and
+// 66-resample shards overrun one 64-weight block. The split plans put batch
+// boundaries at, and batches across, the pair indices where the label's
+// decimal digits lengthen (9→10, 99→100, 999→1000).
+func TestAccumMatchesReference(t *testing.T) {
+	const n = 1003
+	a, b := unzipPairs(randomPairs(xrand.New(1009), n))
+	plans := [][]int{
+		{n},
+		{9, 10, 99, 100, 999, 1000, n},
+		{5, 15, 95, 105, 995, 1001, n},
+	}
+	for _, tc := range []struct{ k, n int }{
+		{1, n}, {7, n}, {63, n}, {64, n}, {65, n}, {1000, n}, {4161, 120},
+	} {
+		ref, err := NewAccum(tc.k, 4242)
+		if err != nil {
+			t.Fatal(err)
+		}
+		referenceExtend(ref, a[:tc.n], b[:tc.n])
+		want := accumBits(t, ref)
+		for _, plan := range plans {
+			for _, w := range kernelWorkerGrid() {
+				got, err := NewAccum(tc.k, 4242)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo := 0
+				for _, hi := range plan {
+					hi = min(hi, tc.n)
+					got.Extend(a[lo:hi], b[lo:hi], w)
+					lo = hi
+				}
+				if !bytes.Equal(accumBits(t, got), want) {
+					t.Fatalf("k=%d n=%d splits=%v workers=%d: Extend state differs from the per-draw reference",
+						tc.k, tc.n, plan, w)
 				}
 			}
 		}

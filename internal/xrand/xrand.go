@@ -307,17 +307,39 @@ func (r *Source) splitSeed(h uint64) uint64 {
 	return h ^ r.s[0] ^ rotl(r.s[1], 13) ^ rotl(r.s[2], 29) ^ rotl(r.s[3], 47)
 }
 
-func hashLabel[T string | []byte](label T) uint64 {
-	// FNV-1a 64-bit.
-	const offset = 0xcbf29ce484222325
-	const prime = 0x100000001b3
-	h := uint64(offset)
+// FNV-1a 64-bit, the label hash behind every Split.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+func hashLabel[T string | []byte](label T) uint64 { return fnvAppend(fnvOffset, label) }
+
+// fnvAppend continues the FNV-1a hash h over label.
+func fnvAppend[T string | []byte](h uint64, label T) uint64 {
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
-		h *= prime
+		h *= fnvPrime
 	}
 	return h
 }
+
+// A LabelHash is a Split label hashed part way: hot paths that derive many
+// child streams from labels sharing a prefix hash the prefix once and
+// continue it per label. SplitSeedHash(NewLabelHash(p).Append(q)) equals
+// SplitSeedBytes(p‖q).
+type LabelHash uint64
+
+// NewLabelHash hashes the label prefix p.
+func NewLabelHash(p []byte) LabelHash { return LabelHash(hashLabel(p)) }
+
+// Append continues the hash over the next label bytes q.
+func (h LabelHash) Append(q []byte) LabelHash { return LabelHash(fnvAppend(uint64(h), q)) }
+
+// SplitSeedHash returns the seed of the child stream whose whole label h
+// hashes: SplitSeedBytes over the same label bytes, without rehashing a
+// shared prefix.
+func (r *Source) SplitSeedHash(h LabelHash) uint64 { return r.splitSeed(uint64(h)) }
 
 // stateSize is the encoded size of a Source state in bytes.
 const stateSize = 4*8 + 8 + 1
