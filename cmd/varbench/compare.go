@@ -79,7 +79,10 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 	// flags (-format is deliberately excluded: one cached analysis renders
 	// as text, JSON or CSV alike). An unchanged rerun decodes the cached
 	// result instead of redoing the bootstrap; any input change misses the
-	// fingerprint and recomputes.
+	// fingerprint and recomputes. The version tag names the engine: v1
+	// stores hold P(A>B) CIs from index resampling at every n, which the
+	// class-count kernel no longer reproduces above its crossover, so they
+	// miss and recompute.
 	const compareKey = "varbench-compare/analysis"
 	var st store.Backend
 	var resultFP string
@@ -89,7 +92,7 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 		}
 		defer st.Close()
 		resultFP = store.Fingerprint(
-			"varbench-compare/v1",
+			"varbench-compare/v2",
 			string(rawA), string(rawB),
 			fmt.Sprintf("gamma=%v/confidence=%v/bootstrap=%d/seed=%d/unpaired=%t",
 				*gamma, *confidence, *bootstrap, *seed, *unpaired),

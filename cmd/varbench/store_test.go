@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"varbench"
 	"varbench/store"
 )
 
@@ -121,5 +124,88 @@ func TestCompareCommandStoreReuse(t *testing.T) {
 	}
 	if other.String() == fresh.String() {
 		t.Error("different -gamma served the old cached analysis")
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a file and returns
+// what f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = saved }()
+	f()
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCompareCommandStoreIgnoresV1: a store written before the class-count
+// P(A>B) kernel holds its analysis under the v1 fingerprint tag. The same
+// inputs must miss it, recompute, and render the bytes of a storeless run;
+// the rerun then reuses the v2 entry.
+func TestCompareCommandStoreIgnoresV1(t *testing.T) {
+	tmp := t.TempDir()
+	var rawA, rawB strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&rawA, "%.2f\n", 0.80+0.01*float64((i*7)%11))
+		fmt.Fprintf(&rawB, "%.2f\n", 0.80+0.01*float64((i*5)%9))
+	}
+	fa, fb := filepath.Join(tmp, "a.csv"), filepath.Join(tmp, "b.csv")
+	if err := os.WriteFile(fa, []byte(rawA.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fb, []byte(rawB.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"compare", "-a", fa, "-b", fb, "-format", "json"}
+	var clean bytes.Buffer
+	if err := run(context.Background(), args, &clean); err != nil {
+		t.Fatal(err)
+	}
+
+	// Seed the store with a stale analysis under the v1 fingerprint of
+	// these exact inputs and default flags.
+	var stale varbench.Result
+	if err := json.Unmarshal(clean.Bytes(), &stale); err != nil {
+		t.Fatal(err)
+	}
+	stale.Comparison.CILo, stale.Comparison.CIHi = 0.123, 0.456
+	dir := filepath.Join(tmp, "store")
+	st, err := store.OpenDSN(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := store.Fingerprint("varbench-compare/v1", rawA.String(), rawB.String(),
+		fmt.Sprintf("gamma=%v/confidence=%v/bootstrap=%d/seed=%d/unpaired=%t",
+			varbench.DefaultGamma, varbench.DefaultConfidence, varbench.DefaultBootstrap, 1, false))
+	if err := st.PutJSON("varbench-compare/analysis", v1, stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stored := append(args, "-store", dir)
+	for i, wantReuse := range []bool{false, true} {
+		var out bytes.Buffer
+		var runErr error
+		msg := captureStderr(t, func() { runErr = run(context.Background(), stored, &out) })
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if out.String() != clean.String() {
+			t.Errorf("run %d with a v1 store differs from a storeless run:\n%s\n---\n%s", i, out.String(), clean.String())
+		}
+		if reused := strings.Contains(msg, "analysis reused"); reused != wantReuse {
+			t.Errorf("run %d: analysis reused = %v, want %v (stderr %q)", i, reused, wantReuse, msg)
+		}
 	}
 }

@@ -174,9 +174,10 @@ type Result struct {
 
 // pabKernel is the plug-in estimator of P(A>B) over paired measures
 // (Equation 9) as a fused bootstrap kernel: the fraction of pairs A wins,
-// ties counted half, accumulated straight from sampled indices — the
-// recommended protocol's hot loop runs with no resample buffer and no
-// per-resample allocation.
+// ties counted half. The engine classifies the pairs once per call; each
+// resample then sums index-drawn win weights (small n) or draws its win
+// and tie counts from two binomials (larger n), with no resample buffer
+// and no per-resample allocation.
 var pabKernel = stats.PABKernel{}
 
 // validate rejects statistical knobs the bootstrap cannot honor before they

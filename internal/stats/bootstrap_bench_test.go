@@ -24,6 +24,9 @@ func benchPairs(n int) []Pair {
 	return pairs
 }
 
+// The index-n*/counts-n* sub-benchmarks time PABKernel's two resampling
+// paths on the same pairs (≈40% wins, 20% ties) at each n, serially; their
+// crossover sets pabIndexMaxN.
 func BenchmarkPairedBootstrapK1000(b *testing.B) {
 	pairs := benchPairs(29)
 	for _, w := range []int{1, 4} {
@@ -33,6 +36,20 @@ func BenchmarkPairedBootstrapK1000(b *testing.B) {
 				PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 9, w)
 			}
 		})
+	}
+	for _, n := range []int{16, 32, 48, 64, 96, 128, 1000, 10000} {
+		tied := randomPairs(xrand.New(uint64(n)), n)
+		for _, path := range []struct {
+			name    string
+			byIndex bool
+		}{{"index", true}, {"counts", false}} {
+			b.Run(fmt.Sprintf("%s-n%d", path.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pabBootstrap(tied, path.byIndex, 1000, 0.95, 9, 1)
+				}
+			})
+		}
 	}
 }
 

@@ -170,9 +170,22 @@ func bootstrapCI[S any, K resampler[S]](sample S, sampleLen int, kern K, k int, 
 // statistics. This is Appendix C.5's procedure for P(A>B). Results depend
 // only on (pairs, kern, k, level, seed): any worker count, including 1,
 // produces bit-identical intervals. Degenerate input (no pairs, k ≤ 0,
-// level outside (0,1)) yields a NaN CI.
+// level outside (0,1)) yields a NaN CI. PABKernel classifies the pairs
+// once per call, and every shard resamples the classes.
 func PairedPercentileBootstrapKernel(pairs []Pair, kern PairedKernel, k int, level float64, seed uint64, workers int) CI {
+	if _, ok := kern.(PABKernel); ok {
+		return pabBootstrap(pairs, len(pairs) <= pabIndexMaxN, k, level, seed, workers)
+	}
 	return bootstrapCI[[]Pair, PairedKernel](pairs, len(pairs), kern, k, level, seed, workers)
+}
+
+// pabBootstrap is the engine's PABKernel path, on the index or count path
+// as byIndex says.
+func pabBootstrap(pairs []Pair, byIndex bool, k int, level float64, seed uint64, workers int) CI {
+	c := classifyPAB(pairs, byIndex)
+	ci := bootstrapCI[pabClasses, pabResampler](c, len(pairs), pabResampler{}, k, level, seed, workers)
+	c.release()
+	return ci
 }
 
 // TwoSampleBootstrapKernel is PairedPercentileBootstrapKernel for

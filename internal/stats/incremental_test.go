@@ -330,7 +330,9 @@ func TestRestoreAccumRejectsGarbage(t *testing.T) {
 // TestAccumExtendAllocsFlat pins the steady-state allocation profile of the
 // serial extend path: a handful of closure headers at most, independent of
 // how many elements the accumulator already holds — the in-place columns
-// never reallocate.
+// never reallocate. Under -race, sync.Pool drops a random share of Puts,
+// which can add one spurious allocation per op to either measurement, so
+// there late may exceed early by that one.
 func TestAccumExtendAllocsFlat(t *testing.T) {
 	a, b := unzipPairs(randomPairs(xrand.New(8), 400))
 	ac, _ := NewAccum(256, 2)
@@ -347,7 +349,11 @@ func TestAccumExtendAllocsFlat(t *testing.T) {
 	if early > 4 || late > 4 {
 		t.Fatalf("Extend allocates per batch: early=%v late=%v allocs/op, want ≤ 4", early, late)
 	}
-	if late > early {
+	slack := 0.0
+	if raceEnabled {
+		slack = 1
+	}
+	if late > early+slack {
 		t.Fatalf("Extend allocations grow with n: early=%v late=%v", early, late)
 	}
 }

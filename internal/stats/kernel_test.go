@@ -204,16 +204,17 @@ func TestKernelEntryPointsMatchClosureEntryPoints(t *testing.T) {
 // TestShardedWorkerInvarianceFusedGrid re-runs the worker-grid invariance
 // check on the fused kernel specifically (the paired and two-sample grids
 // live in bootstrap_sharded_test.go), at several K to cross shard-count
-// boundaries.
+// boundaries, on both sides of pabIndexMaxN.
 func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
-	r := xrand.New(31)
-	pairs := randomPairs(r, 29)
-	for _, k := range []int{7, 64, 1000} {
-		ref := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.95, 13, 1)
-		for _, w := range kernelWorkerGrid() {
-			ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.95, 13, w)
-			if !ciEqual(ci, ref) {
-				t.Errorf("k=%d workers=%d: %+v != serial %+v", k, w, ci, ref)
+	for _, n := range []int{29, pabIndexMaxN + 1, 1000} {
+		pairs := randomPairs(xrand.New(31), n)
+		for _, k := range []int{7, 64, 1000} {
+			ref := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.95, 13, 1)
+			for _, w := range kernelWorkerGrid() {
+				ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.95, 13, w)
+				if !ciEqual(ci, ref) {
+					t.Errorf("n=%d k=%d workers=%d: %+v != serial %+v", n, k, w, ci, ref)
+				}
 			}
 		}
 	}
@@ -221,7 +222,8 @@ func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 
 func TestBootstrapSmallSamples(t *testing.T) {
 	// n=1: resampling a single pair is legal and collapses the CI at that
-	// pair's win weight; single-element unpaired samples collapse too.
+	// pair's win weight; single-element unpaired samples collapse too. So
+	// does a one-class sample above pabIndexMaxN, on the count path.
 	mw := TwoSampleStatFunc(func(a, b []float64) float64 { return MannWhitney(a, b, TwoTailed).PAB })
 	for _, w := range []int{1, 4} {
 		for _, c := range []struct {
@@ -232,10 +234,136 @@ func TestBootstrapSmallSamples(t *testing.T) {
 			if ci.Lo != c.want || ci.Hi != c.want {
 				t.Errorf("workers=%d: PAB CI of singleton %+v = %+v, want collapsed at %v", w, c.pair, ci, c.want)
 			}
+			many := make([]Pair, pabIndexMaxN+1)
+			for i := range many {
+				many[i] = c.pair
+			}
+			ci = PairedPercentileBootstrapKernel(many, PABKernel{}, 100, 0.95, 1, w)
+			if ci.Lo != c.want || ci.Hi != c.want {
+				t.Errorf("workers=%d: PAB CI of %d copies of %+v = %+v, want collapsed at %v", w, len(many), c.pair, ci, c.want)
+			}
 		}
 		ci := TwoSampleBootstrapKernel([]float64{3}, []float64{1}, mw, 100, 0.95, 1, w)
 		if ci.Lo != 1 || ci.Hi != 1 {
 			t.Errorf("workers=%d: unpaired CI of singletons = %+v, want collapsed at 1", w, ci)
+		}
+	}
+}
+
+// tiedPairs returns n pairs with exactly wins wins, ties ties and the rest
+// losses.
+func tiedPairs(n, wins, ties int) []Pair {
+	p := make([]Pair, n)
+	for i := range p {
+		switch {
+		case i < wins:
+			p[i] = Pair{A: 1, B: 0}
+		case i < wins+ties:
+			p[i] = Pair{A: 1, B: 1}
+		default:
+			p[i] = Pair{A: 0, B: 1}
+		}
+	}
+	return p
+}
+
+// TestPABCountsMatchTrinomial G-tests the count path's resampled values
+// against the exact law of 2W+T, where (W, T, n−W−T) is
+// Multinomial(n; wins/n, ties/n, losses/n): the law index resampling of the
+// same pairs follows.
+func TestPABCountsMatchTrinomial(t *testing.T) {
+	for _, c := range []struct{ n, wins, ties int }{
+		{pabIndexMaxN + 1, 20, 9}, {120, 3, 110}, {1000, 410, 190}, {10000, 4000, 5000},
+	} {
+		pairs := tiedPairs(c.n, c.wins, c.ties)
+		classes := classifyPAB(pairs, false)
+		if classes.w != nil || classes.wins != c.wins || classes.ties != c.ties {
+			t.Fatalf("n=%d: classified as %+v", c.n, classes)
+		}
+		const draws = 200000
+		out := make([]float64, draws)
+		pabResampler{}.ResampleInto(out, classes, xrand.New(uint64(c.n)))
+		counts := make([]float64, 2*c.n+1)
+		for _, v := range out {
+			s := int(math.Round(v * 2 * float64(c.n)))
+			if s < 0 || s > 2*c.n || float64(s)/2/float64(c.n) != v {
+				t.Fatalf("n=%d: resampled value %v is not (2W+T)/2/n", c.n, v)
+			}
+			counts[s]++
+		}
+		// law[s] = Σ over W+T ≤ n with 2W+T = s of the trinomial pmf.
+		law := make([]float64, 2*c.n+1)
+		nf := float64(c.n)
+		lw, lt, ll := math.Log(float64(c.wins)/nf), math.Log(float64(c.ties)/nf), math.Log(float64(c.n-c.wins-c.ties)/nf)
+		lf := make([]float64, c.n+1) // lf[k] = log k!
+		for k := range lf {
+			lf[k], _ = math.Lgamma(float64(k) + 1)
+		}
+		for w := 0; w <= c.n; w++ {
+			for tt := 0; w+tt <= c.n; tt++ {
+				l := c.n - w - tt
+				if lp := lf[c.n] - lf[w] - lf[tt] - lf[l] + float64(w)*lw + float64(tt)*lt + float64(l)*ll; lp > -50 {
+					law[2*w+tt] += math.Exp(lp)
+				}
+			}
+		}
+		var obs, exp []float64
+		var o, e float64
+		for s := range law {
+			o += counts[s]
+			e += draws * law[s]
+			if e >= 5 {
+				obs, exp = append(obs, o), append(exp, e)
+				o, e = 0, 0
+			}
+		}
+		obs[len(obs)-1] += o
+		exp[len(exp)-1] += e
+		g := 0.0
+		for i := range obs {
+			if obs[i] > 0 {
+				g += 2 * obs[i] * math.Log(obs[i]/exp[i])
+			}
+		}
+		df := float64(len(obs) - 1)
+		if pv := 1 - (ChiSquared{K: df}).CDF(g); pv < 1e-4 {
+			t.Errorf("n=%d wins=%d ties=%d: G = %.1f on %v df, p = %.2g", c.n, c.wins, c.ties, g, df, pv)
+		}
+	}
+}
+
+// TestPABCountsMatchIndexCIs: above pabIndexMaxN the count path's CIs are
+// not the index path's bit for bit, but over 400 seeds their endpoints
+// must agree in mean and spread.
+func TestPABCountsMatchIndexCIs(t *testing.T) {
+	ns := []int{200, 1000, 10000}
+	if raceEnabled {
+		ns = ns[:2] // 400 index bootstraps of 10⁴ pairs take minutes under -race
+	}
+	const seeds = 400
+	for _, n := range ns {
+		pairs := randomPairs(xrand.New(uint64(n)), n)
+		var lo, hi [2][seeds]float64
+		for s := 0; s < seeds; s++ {
+			for path, byIndex := range []bool{true, false} {
+				ci := pabBootstrap(pairs, byIndex, 1000, 0.95, uint64(s), runtime.GOMAXPROCS(0))
+				lo[path][s], hi[path][s] = ci.Lo, ci.Hi
+			}
+		}
+		for _, e := range []struct {
+			name string
+			v    *[2][seeds]float64
+		}{{"lo", &lo}, {"hi", &hi}} {
+			mi, si := Mean(e.v[0][:]), Std(e.v[0][:])
+			mc, sc := Mean(e.v[1][:]), Std(e.v[1][:])
+			z := (mc - mi) / math.Sqrt((si*si+sc*sc)/seeds)
+			t.Logf("n=%d CI %s: mean %.5f vs %.5f (z = %+.2f), sd ratio %.3f", n, e.name, mc, mi, z, sc/si)
+			if math.Abs(z) > 4 {
+				t.Errorf("n=%d CI %s: counts mean %v vs index %v (z = %.2f)", n, e.name, mc, mi, z)
+			}
+			if r := sc / si; r < 0.8 || r > 1.25 {
+				t.Errorf("n=%d CI %s: counts sd %v vs index %v (ratio %.3f)", n, e.name, sc, si, r)
+			}
 		}
 	}
 }

@@ -239,16 +239,149 @@ func (r *Source) Normal(mu, sigma float64) float64 {
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool { return r.Float64() < p }
 
-// Binomial returns the number of successes in n Bernoulli(p) trials.
-// Intended for the moderate n used in benchmark simulation; O(n).
+// Binomial returns the number of successes in n Bernoulli(p) trials. The
+// draw is exact (up to float64 arithmetic) and takes O(1) expected time at
+// any n: inversion of the CDF when n·min(p, 1−p) < 10, Hörmann's BTRD
+// transformed rejection otherwise, and n − Binomial(n, 1−p) for p > ½.
+// Degenerate inputs consume no randomness: n ≤ 0, p ≤ 0 and NaN p give 0,
+// and p ≥ 1 gives n.
 func (r *Source) Binomial(n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
+	switch {
+	case n <= 0 || !(p > 0):
+		return 0
+	case p >= 1:
+		return n
+	case p > 0.5:
+		return n - r.Binomial(n, 1-p)
+	case float64(n)*p < 10:
+		return r.binomialInversion(n, p)
+	}
+	return r.binomialBTRD(n, p)
+}
+
+// binomialInversion walks the CDF from 0 with the pmf recurrence
+// f(k+1) = f(k)·((n+1)/(k+1) − 1)·p/q. With n·p < 10 it takes n·p + 1
+// steps on average. A uniform that rounding pushes past the computed mass
+// (or past the point where f underflows to 0) is redrawn.
+func (r *Source) binomialInversion(n int, p float64) int {
+	q := 1 - p
+	s := p / q
+	a := (float64(n) + 1) * s
+	f0 := math.Exp(float64(n) * math.Log1p(-p))
+	for {
+		u := r.Float64()
+		f := f0
+		for k := 0; k <= n && f > 0; k++ {
+			if u < f {
+				return k
+			}
+			u -= f
+			f *= a/float64(k+1) - s
 		}
 	}
-	return k
+}
+
+// binomialBTRD is algorithm BTRD of Hörmann, "The generation of binomial
+// random variates", J. Stat. Comput. Simul. 46 (1993): transformed
+// rejection whose central region accepts on one uniform (a share 0.86·v_r:
+// 26–40% of draws at n·p = 10, rising to 79% as n·p grows), with a squeeze
+// before the exact pmf-ratio test for the rest. It needs n·p ≥ 10 and
+// p ≤ ½.
+func (r *Source) binomialBTRD(n int, p float64) int {
+	nf := float64(n)
+	q := 1 - p
+	spq := math.Sqrt(nf * p * q)
+	b := 1.15 + 2.53*spq
+	a := -0.0873 + 0.0248*b + 0.01*p
+	c := nf*p + 0.5
+	vr := 0.92 - 4.2/b
+	for {
+		// Step 1: the central region accepts without a second uniform.
+		v := r.Float64()
+		if v <= 0.86*vr {
+			u := v/vr - 0.43
+			return int(math.Floor((2*a/(0.5-math.Abs(u))+b)*u + c))
+		}
+		// Step 2: a point in the tails of the hat.
+		var u float64
+		if v >= vr {
+			u = r.Float64() - 0.5
+		} else {
+			u = v/vr - 0.93
+			u = math.Copysign(0.5, u) - u
+			v = r.Float64() * vr
+		}
+		// Step 3.0: transform and reject out-of-range k.
+		us := 0.5 - math.Abs(u)
+		kf := math.Floor((2*a/us+b)*u + c)
+		if kf < 0 || kf > nf {
+			continue
+		}
+		k := int(kf)
+		if k < 0 || k > n { // nf rounds n above 2^53
+			continue
+		}
+		alpha := (2.83 + 5.1/b) * spq
+		v *= alpha / (a/(us*us) + b)
+		m := int(math.Floor((nf + 1) * p))
+		rr := p / q
+		nr := (nf + 1) * rr
+		km := k - m
+		if km < 0 {
+			km = -km
+		}
+		// Step 3.1: near the mode, accept iff v ≤ f(k)/f(m), the pmf ratio
+		// by the recurrence f(i)/f(i−1) = (nr − rr·i)/i, with the
+		// denominators cross-multiplied so the loop does no division.
+		if km <= 15 {
+			lhs, rhs := v, 1.0
+			for i := m + 1; i <= k; i++ {
+				lhs *= float64(i)
+				rhs *= nr - rr*float64(i)
+			}
+			for i := k + 1; i <= m; i++ {
+				lhs *= nr - rr*float64(i)
+				rhs *= float64(i)
+			}
+			if lhs <= rhs {
+				return k
+			}
+			continue
+		}
+		// Step 3.2: squeeze on log v.
+		v = math.Log(v)
+		npq := nf * p * q
+		kmf := float64(km)
+		rho := (kmf / npq) * (((kmf/3+0.625)*kmf+1.0/6)/npq + 0.5)
+		t := -kmf * kmf / (2 * npq)
+		if v < t-rho {
+			return k
+		}
+		if v > t+rho {
+			continue
+		}
+		// Steps 3.3–3.4: the exact log pmf ratio via Stirling's formula.
+		mf := float64(m)
+		nm := nf - mf + 1
+		h := (mf+0.5)*math.Log((mf+1)/(rr*nm)) + stirlingTail(m) + stirlingTail(n-m)
+		nk := nf - kf + 1
+		if v <= h+(nf+1)*math.Log(nm/nk)+(kf+0.5)*math.Log(nk*rr/(kf+1))-stirlingTail(k)-stirlingTail(n-k) {
+			return k
+		}
+	}
+}
+
+// stirlingTail returns log k! − ((k+½)·log(k+1) − (k+1) + ½·log 2π), the
+// error of Stirling's approximation: exact through Lgamma for small k, the
+// asymptotic series (error below 1e-10) from k = 10 on.
+func stirlingTail(k int) float64 {
+	kp := float64(k) + 1
+	if k < 10 {
+		lg, _ := math.Lgamma(kp)
+		return lg - ((kp-0.5)*math.Log(kp) - kp + 0.5*math.Log(2*math.Pi))
+	}
+	r := 1 / (kp * kp)
+	return (1.0/12 - (1.0/360-r/1260)*r) / kp
 }
 
 // Perm returns a uniformly random permutation of [0, n).

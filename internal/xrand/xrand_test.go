@@ -235,6 +235,40 @@ func TestBinomialMoments(t *testing.T) {
 	}
 }
 
+// TestStirlingTail pins the series branch of BTRD's Stirling correction to
+// its Lgamma definition where the branches meet and beyond.
+func TestStirlingTail(t *testing.T) {
+	for k := 9; k <= 400; k++ {
+		kp := float64(k) + 1
+		lg, _ := math.Lgamma(kp)
+		want := lg - ((kp-0.5)*math.Log(kp) - kp + 0.5*math.Log(2*math.Pi))
+		if got := stirlingTail(k); math.Abs(got-want) > 1e-10 {
+			t.Errorf("stirlingTail(%d) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// BenchmarkBinomial times one draw in each regime: inversion (n·p < 10)
+// and BTRD, at the class-count shapes of a paired bootstrap of n pairs.
+func BenchmarkBinomial(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		p    float64
+	}{{"inversion-np5", 50, 0.1}, {"btrd-np25", 50, 0.5}, {"btrd-np5000", 10000, 0.5}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := New(1)
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += r.Binomial(c.n, c.p)
+			}
+			if sum < 0 {
+				b.Fatal(sum)
+			}
+		})
+	}
+}
+
 func TestShuffleIntsPreservesMultiset(t *testing.T) {
 	r := New(41)
 	p := []int{1, 1, 2, 3, 5, 8, 13}

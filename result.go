@@ -341,9 +341,10 @@ func combineEvidence(datasets []DatasetResult) (allMeaningful bool, wilcoxonP fl
 // resampling is sharded across `workers` goroutines with
 // (seed, bootstrap)-deterministic shard streams, so evaluations are
 // bit-identical at any worker count. The paired P(A>B) statistic
-// dispatches as a fused kernel (internal/stats.PABKernel): each resample
-// accumulates straight from sampled indices with no resample buffer and no
-// steady-state allocation.
+// dispatches as a fused kernel (internal/stats.PABKernel): the pairs are
+// classified once, and each resample sums index-drawn win weights (small
+// n) or draws its win and tie counts from two binomials (larger n), with
+// no resample buffer and no steady-state allocation.
 type protocol struct {
 	gamma     float64
 	level     float64
